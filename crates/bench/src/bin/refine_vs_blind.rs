@@ -14,11 +14,13 @@
 //!   the base rung, pinning verdict agreement outside the integer path.
 //!
 //! Both legs run one worker with early-stop. A third, *sequential*
-//! reference leg runs each constraint through a fresh
-//! [`Session`](staub_core::Session) (bounded path, then the original
-//! constraint) as an independent soundness anchor.
+//! reference leg measures each constraint with
+//! [`staub_core::portfolio::measure`] (one bounded
+//! attempt at the inferred width, then the original constraint), which
+//! shares no scheduling code with the other two, as an independent
+//! soundness anchor.
 //!
-//! Output: `BENCH_refine.json` (path overridable as argv[1]) with
+//! Output: `BENCH_refine.json` (path overridable as `argv[1]`) with
 //! per-constraint verdicts, steps, rung counts, and final variable-bit
 //! footprints, plus the gate bits CI greps for:
 //!
@@ -40,8 +42,8 @@ use std::time::{Duration, Instant};
 
 use staub_benchgen::generate_skewed;
 use staub_core::{
-    run_batch_with, BatchConfig, BatchItem, BatchReport, LaneKind, LaneVerdict, RunOptions,
-    Session, StaubConfig, WidthChoice,
+    portfolio, run_batch_with, BatchConfig, BatchItem, BatchReport, LaneKind, LaneVerdict,
+    RunOptions, Staub, StaubConfig, WidthChoice,
 };
 use staub_smtlib::Script;
 
@@ -117,21 +119,21 @@ fn run_leg(items: &[BatchItem], refine: bool) -> Leg {
 /// The sequential reference: a fresh warm session per constraint, full
 /// pipeline (bounded path, then the original constraint).
 fn reference_verdicts(items: &[BatchItem]) -> Vec<&'static str> {
+    let staub = Staub::new(StaubConfig {
+        timeout: Duration::from_secs(30),
+        steps: 2_000_000,
+        ..StaubConfig::default()
+    });
     items
         .iter()
         .map(|item| {
-            let mut session = Session::new(StaubConfig {
-                timeout: Duration::from_secs(30),
-                steps: 2_000_000,
-                ..StaubConfig::default()
-            });
-            match session.run(&item.script) {
-                Ok(outcome) => match outcome.verdict_name() {
-                    "sat" => "sat",
-                    "unsat" => "unsat",
-                    _ => "unknown",
-                },
-                Err(_) => "unknown",
+            let report = portfolio::measure(&staub, &item.script);
+            if report.verified || report.baseline_result.is_sat() {
+                "sat"
+            } else if report.baseline_result.is_unsat() {
+                "unsat"
+            } else {
+                "unknown"
             }
         })
         .collect()

@@ -19,34 +19,36 @@
 //!    evaluated exactly; failures (overflow/rounding semantic differences)
 //!    revert to the original constraint (§4.4).
 //!
-//! [`portfolio`] runs the baseline solver and the STAUB pipeline in a race,
-//! so no constraint is ever slowed down (§5.1); [`sched`] scales that race
-//! to batches of constraints, fanning each one into baseline + escalating
-//! STAUB width lanes on a work-stealing pool with cooperative cancellation.
-//! [`bvreduce`] implements the
+//! [`sched`] is the one solve path: it plans each constraint's lanes
+//! (baseline, difference-logic, certified complete, and escalating or
+//! refining STAUB widths) and races them on a work-stealing pool with
+//! cooperative cancellation, so the first sound answer wins and no
+//! constraint is ever slowed down (§5.1). [`portfolio`] measures the two
+//! legs sequentially for the paper's tables. [`bvreduce`] implements the
 //! paper's §6.4 suggestion of applying the same scheme to *already-bounded*
 //! constraints (bitvector width reduction). [`check`] re-certifies each
-//! stage's output with the `staub-lint` checker (see
-//! [`StaubConfig::check`]). [`metrics`] threads per-stage spans and
-//! solver counters through all of it (`staub stats`, batch JSONL `stats`
-//! blocks).
+//! bounded lane's stage outputs with the `staub-lint` checker in debug
+//! builds. [`metrics`] threads scheduler events and solver counters
+//! through all of it (`staub stats`, batch JSONL `stats` blocks).
 //!
 //! # Quickstart
 //!
-//! [`Session`] is the single public entrypoint: it carries warm solver
-//! state (variable maps, learned clauses, phases, activities) across
-//! checks, so related queries amortize each other's work.
+//! [`Session`] is the library entrypoint: each check runs the same lane
+//! plan as `staub batch`, and the session carries warm solver state
+//! (variable maps, learned clauses, phases, activities) across checks, so
+//! related queries amortize each other's work.
 //!
 //! ```
-//! use staub_core::{Session, StaubOutcome};
+//! use staub_core::{BatchVerdict, Session};
 //! use staub_smtlib::Script;
 //!
 //! let script = Script::parse("\
 //! (declare-fun x () Int)
 //! (assert (= (* x x) 49))
 //! (check-sat)")?;
-//! let outcome = Session::default().run(&script)?;
-//! assert!(matches!(outcome, StaubOutcome::Sat { .. }));
+//! let report = Session::default().run(&script)?;
+//! assert!(matches!(report.verdict, BatchVerdict::Sat(_)));
+//! println!("answered by {}", report.winner_lane().unwrap().spec.label());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -69,13 +71,12 @@ pub use absint::{
     certify, classify_fragment, difference_logic, BoundCertificate, CoeffLedger, DlEdge, DlSystem,
     FragmentClass,
 };
-pub use check::CheckLevel;
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use pipeline::{Provenance, Staub, StaubConfig, StaubError, StaubOutcome, Via, WidthChoice};
+pub use pipeline::{Provenance, Staub, StaubConfig, StaubError, WidthChoice};
 pub use portfolio::{PortfolioReport, Winner};
 pub use sched::{
-    complete_width, run_batch_with, run_one_with, BatchConfig, BatchItem, BatchReport,
-    BatchVerdict, LaneKind, LaneOutcome, LaneSpec, LaneVerdict, RefineRung, RunOptions,
+    run_batch_with, run_one_with, BatchConfig, BatchItem, BatchReport, BatchVerdict, LaneKind,
+    LaneOutcome, LaneSpec, LaneVerdict, RefineRung, RunOptions,
 };
 pub use session::Session;
 pub use transform::{TransformError, Transformed, WidthMap};

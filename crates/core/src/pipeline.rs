@@ -1,21 +1,18 @@
-//! The end-to-end STAUB pipeline: infer → transform → solve → verify,
-//! with fallback to the original constraint.
+//! The STAUB translation configuration (infer → transform) and the types
+//! shared by every solve entry point. Solving itself — bounded lanes,
+//! verification, the baseline fallback — runs through the lane planner in
+//! [`crate::sched`].
 
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
-use staub_smtlib::{Model, Script};
-use staub_solver::{Budget, BvSession, SatResult, Solver, SolverProfile};
+use staub_smtlib::Script;
+use staub_solver::SolverProfile;
 
 use crate::absint;
-use crate::check::{self, CheckLevel};
 use crate::correspond::SortLimits;
-use crate::metrics::Metrics;
-use crate::portfolio;
-use crate::transform::{transform_with_widths, TransformError, Transformed, WidthMap};
-use crate::verify::lift_and_verify;
+use crate::transform::{transform, TransformError, Transformed};
 
 /// How the translation width is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,110 +25,22 @@ pub enum WidthChoice {
     Fixed(u32),
 }
 
-/// Which path produced the final answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Via {
-    /// The transformed bounded constraint (verified).
-    Bounded,
-    /// The original unbounded constraint (fallback / baseline win).
-    Original,
-}
-
 /// Which lane (and at which width) produced a verdict.
 ///
-/// Attached to every [`StaubOutcome`] so batch JSONL and `staub stats`
-/// report the producing lane directly instead of inferring it from log
-/// order. Labels follow the scheduler's lane naming
-/// (`staub/x2/zed`, `baseline/cove`, …).
+/// Derived from a [`crate::BatchReport`]'s winning lane, so batch JSONL,
+/// serve replies and `staub stats` report the producing lane directly
+/// instead of inferring it from log order. Labels follow the scheduler's
+/// lane naming (`staub/x2/zed`, `baseline/cove`, …).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Provenance {
     /// Stable label of the producing lane.
     pub label: String,
     /// Width multiplier relative to the base width (`1` = base, doubled
-    /// per escalation/refinement; `0` for the original/unbounded path,
-    /// which has no width).
+    /// per escalation; `0` for lanes without a width — baseline and
+    /// difference-logic).
     pub multiplier: u32,
     /// Deterministic solver steps consumed producing the verdict.
     pub steps: u64,
-}
-
-impl Provenance {
-    /// Provenance of a verified bounded answer at `multiplier` × base width.
-    pub fn bounded(profile: SolverProfile, multiplier: u32, steps: u64) -> Provenance {
-        Provenance {
-            label: format!("staub/x{multiplier}/{}", profile.name().to_lowercase()),
-            multiplier,
-            steps,
-        }
-    }
-
-    /// Provenance of an answer from the original (unbounded) constraint.
-    pub fn original(profile: SolverProfile, steps: u64) -> Provenance {
-        Provenance {
-            label: format!("baseline/{}", profile.name().to_lowercase()),
-            multiplier: 0,
-            steps,
-        }
-    }
-
-    /// Provenance of a no-answer outcome (no lane produced a verdict).
-    pub fn none(steps: u64) -> Provenance {
-        Provenance {
-            label: "none".to_string(),
-            multiplier: 0,
-            steps,
-        }
-    }
-}
-
-/// Final result of a STAUB run.
-#[derive(Debug, Clone)]
-pub enum StaubOutcome {
-    /// Satisfiable; the model satisfies the *original* constraint (when
-    /// `via` is [`Via::Bounded`] it was verified by exact evaluation).
-    Sat {
-        /// A model of the original constraint.
-        model: Model,
-        /// Which path found it.
-        via: Via,
-        /// Which lane/width produced it.
-        provenance: Provenance,
-    },
-    /// Unsatisfiable — proven on the original constraint (§4.4 case 1: an
-    /// uncertified bounded `unsat` is never trusted). The scheduler's
-    /// complete lane is the one exception to case 1: for pure-LIA scripts
-    /// it may promote a bounded `unsat` at a certified a-priori width
-    /// whose `L4xx` certificate lints clean (see `crate::absint::certify`).
-    Unsat {
-        /// Which lane produced the proof (an original-path lane, or a
-        /// certified complete lane).
-        provenance: Provenance,
-    },
-    /// Neither path answered within budget.
-    Unknown {
-        /// Steps burned before giving up.
-        provenance: Provenance,
-    },
-}
-
-impl StaubOutcome {
-    /// The producing lane, whatever the verdict.
-    pub fn provenance(&self) -> &Provenance {
-        match self {
-            StaubOutcome::Sat { provenance, .. }
-            | StaubOutcome::Unsat { provenance }
-            | StaubOutcome::Unknown { provenance } => provenance,
-        }
-    }
-
-    /// `sat` / `unsat` / `unknown`.
-    pub fn verdict_name(&self) -> &'static str {
-        match self {
-            StaubOutcome::Sat { .. } => "sat",
-            StaubOutcome::Unsat { .. } => "unsat",
-            StaubOutcome::Unknown { .. } => "unknown",
-        }
-    }
 }
 
 /// Configuration of the STAUB pipeline.
@@ -147,20 +56,6 @@ pub struct StaubConfig {
     pub timeout: Duration,
     /// Deterministic step budget per solver call.
     pub steps: u64,
-    /// Iterative bound refinement (paper §6.2, proposed as future work):
-    /// when the bounded constraint is `unsat` — which may only mean the
-    /// selected width was insufficient — retry with the width doubled, up
-    /// to this many extra rounds. `0` disables refinement (the paper's
-    /// evaluated configuration).
-    pub refinement_rounds: u32,
-    /// When to run the `staub-lint` certifying checker between pipeline
-    /// stages (see [`CheckLevel`]).
-    pub check: CheckLevel,
-    /// Per-variable width requests layered over `width_choice` (empty =
-    /// the uniform transform). Named variables are declared at their own
-    /// width and sign-extended at use sites; this is what
-    /// counterexample-guided refinement widens selectively.
-    pub var_widths: WidthMap,
 }
 
 impl Default for StaubConfig {
@@ -171,16 +66,13 @@ impl Default for StaubConfig {
             profile: SolverProfile::Zed,
             timeout: Duration::from_secs(1),
             steps: 4_000_000,
-            refinement_rounds: 0,
-            check: CheckLevel::default(),
-            var_widths: WidthMap::new(),
         }
     }
 }
 
-/// Error from a STAUB run. Transformation failures are *not* errors — the
-/// pipeline silently reverts to the original constraint; this type only
-/// covers misuse.
+/// Error from a [`crate::Session`] check. Transformation failures are
+/// *not* errors — the bounded lanes report them as `not-applicable` and
+/// the other lanes answer; this type only covers misuse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StaubError {
     /// The script contains no assertions.
@@ -197,60 +89,35 @@ impl fmt::Display for StaubError {
 
 impl Error for StaubError {}
 
-/// The STAUB pipeline configuration and stage plumbing.
-///
-/// One-shot solving goes through the incremental [`crate::Session`]
-/// (`Session::run`, `Session::race`, `Session::try_bounded`), which owns a
-/// `Staub` and carries solver state across checks:
+/// The STAUB translation configuration: bound inference and the
+/// transformation at a chosen width, plus the one-shot sequential
+/// measurement ([`crate::portfolio::measure`]) the paper tables use.
+/// Solving goes through the lane planner ([`crate::Session`],
+/// [`crate::run_one_with`]).
 ///
 /// ```
-/// use staub_core::{Session, StaubOutcome, Via};
+/// use staub_core::{Staub, StaubConfig, WidthChoice};
 /// use staub_smtlib::Script;
 ///
 /// let script = Script::parse("\
 /// (declare-fun x () Int)
 /// (assert (= (* x x) 49))")?;
-/// match Session::default().run(&script)? {
-///     StaubOutcome::Sat { via, .. } => assert_eq!(via, Via::Bounded),
-///     other => panic!("expected sat, got {other:?}"),
-/// }
+/// let staub = Staub::new(StaubConfig {
+///     width_choice: WidthChoice::Fixed(16),
+///     ..StaubConfig::default()
+/// });
+/// assert_eq!(staub.transform(&script)?.bv_width, Some(16));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Staub {
     config: StaubConfig,
-    /// Observability registry; disabled by default so un-instrumented runs
-    /// pay a single branch per stage.
-    metrics: Arc<Metrics>,
-}
-
-impl Default for Staub {
-    fn default() -> Staub {
-        Staub::new(StaubConfig::default())
-    }
 }
 
 impl Staub {
     /// Creates a pipeline with the given configuration.
     pub fn new(config: StaubConfig) -> Staub {
-        Staub {
-            config,
-            metrics: Arc::new(Metrics::disabled()),
-        }
-    }
-
-    /// Attaches a metrics registry: subsequent runs record per-stage spans
-    /// (`stage.absint`, `stage.transform`, `stage.solve`, `stage.verify`,
-    /// `stage.lint`, `stage.original_solve`) and solver counters
-    /// (`solver.bounded.*`, `solver.original.*`).
-    pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Staub {
-        self.metrics = metrics;
-        self
-    }
-
-    /// The attached metrics registry (disabled unless set).
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.metrics
+        Staub { config }
     }
 
     /// The active configuration.
@@ -271,390 +138,50 @@ impl Staub {
     /// the configured limits.
     pub fn transform(&self, script: &Script) -> Result<Transformed, TransformError> {
         let bounds = absint::infer(script);
-        transform_with_widths(
+        transform(
             script,
             &bounds,
             self.config.width_choice,
             &self.config.limits,
-            &self.config.var_widths,
         )
     }
-
-    /// Adjudicates a lint report from a between-stage check. Returns `true`
-    /// when the bounded path may continue.
-    ///
-    /// # Panics
-    ///
-    /// Under [`CheckLevel::Debug`], panics on error-severity findings —
-    /// invariant violations are pipeline bugs and debug builds fail loudly.
-    fn certify(&self, stage: &str, report: staub_lint::LintReport) -> bool {
-        if report.is_clean() {
-            return true;
-        }
-        if self.config.check == CheckLevel::Debug {
-            panic!("staub-lint: `{stage}` output violates pipeline invariants:\n{report}");
-        }
-        false
-    }
-
-    /// The bounded path with an optional warm solver engine.
-    ///
-    /// When `engine` is supplied and the transformed script is pure
-    /// boolean/bitvector, the check runs through the persistent
-    /// [`BvSession`] (reusing its variable map, gate cache, learned
-    /// clauses, saved phases, and activities); otherwise a fresh
-    /// [`Solver`] is spawned, which is byte-identical to the historical
-    /// cold path.
-    pub(crate) fn try_bounded_with(
-        &self,
-        script: &Script,
-        budget: &Budget,
-        mut engine: Option<&mut BvSession>,
-    ) -> Option<BoundedWin> {
-        let mut choice = self.config.width_choice;
-        let mut multiplier: u32 = 1;
-        for round in 0..=self.config.refinement_rounds {
-            if budget.exhausted() {
-                return None;
-            }
-            self.metrics.incr("pipeline.bounded_attempts", 1);
-            let bounds = self.metrics.time("stage.absint", || absint::infer(script));
-            let transformed = self
-                .metrics
-                .time("stage.transform", || {
-                    transform_with_widths(
-                        script,
-                        &bounds,
-                        choice,
-                        &self.config.limits,
-                        &self.config.var_widths,
-                    )
-                })
-                .ok()?;
-            if self.config.check.active() {
-                let clean = self.metrics.time("stage.lint", || {
-                    self.certify("transform", check::check_transformed(script, &transformed))
-                });
-                if !clean {
-                    return None;
-                }
-            }
-            let profile = self.config.profile;
-            let (result, stats) = self.metrics.time("stage.solve", || match engine {
-                Some(ref mut e) if staub_solver::is_bit_blastable(&transformed.script) => {
-                    e.check(&transformed.script, budget)
-                }
-                _ => {
-                    let outcome =
-                        Solver::new(profile).solve_with_budget(&transformed.script, budget);
-                    (outcome.result, outcome.stats)
-                }
-            });
-            self.metrics.record_solver("solver.bounded", &stats);
-            match result {
-                SatResult::Sat(bounded_model) => {
-                    if self.config.check.active() {
-                        let clean = self.metrics.time("stage.lint", || {
-                            self.certify(
-                                "solve",
-                                check::check_model(&transformed.script, &bounded_model),
-                            )
-                        });
-                        if !clean {
-                            return None;
-                        }
-                    }
-                    let verified = self.metrics.time("stage.verify", || {
-                        lift_and_verify(script, &transformed, &bounded_model)
-                    });
-                    self.metrics.incr(
-                        if verified.is_some() {
-                            "pipeline.verified"
-                        } else {
-                            "pipeline.verify_failed"
-                        },
-                        1,
-                    );
-                    return verified.map(|model| BoundedWin { model, multiplier });
-                }
-                // A bounded `unsat` cannot distinguish "really unsat" from
-                // "width too small" (§4.4 case 1): refine by doubling.
-                SatResult::Unsat if round < self.config.refinement_rounds => {
-                    let current = transformed
-                        .bv_width
-                        .or(transformed.fp_format.map(|(_, sb)| sb))
-                        .unwrap_or(8);
-                    let doubled = current.saturating_mul(2);
-                    if doubled > self.config.limits.max_bv_width {
-                        return None;
-                    }
-                    choice = WidthChoice::Fixed(doubled);
-                    multiplier = multiplier.saturating_mul(2);
-                }
-                _ => return None,
-            }
-        }
-        None
-    }
-
-    /// The full pipeline with an optional warm solver engine (see
-    /// [`Staub::try_bounded_with`]).
-    pub(crate) fn run_with(
-        &self,
-        script: &Script,
-        engine: Option<&mut BvSession>,
-    ) -> Result<StaubOutcome, StaubError> {
-        if script.assertions().is_empty() {
-            return Err(StaubError::EmptyScript);
-        }
-        let budget = Budget::new(self.config.timeout, self.config.steps);
-        if let Some(win) = self.try_bounded_with(script, &budget, engine) {
-            let provenance =
-                Provenance::bounded(self.config.profile, win.multiplier, budget.steps_used());
-            return Ok(StaubOutcome::Sat {
-                model: win.model,
-                via: Via::Bounded,
-                provenance,
-            });
-        }
-        let bounded_steps = budget.steps_used();
-        let solver = Solver::new(self.config.profile);
-        let original_budget = Budget::new(self.config.timeout, self.config.steps);
-        let outcome = self.metrics.time("stage.original_solve", || {
-            solver.solve_with_budget(script, &original_budget)
-        });
-        self.metrics
-            .record_solver("solver.original", &outcome.stats);
-        let steps = original_budget.steps_used();
-        Ok(match outcome.result {
-            SatResult::Sat(model) => StaubOutcome::Sat {
-                model,
-                via: Via::Original,
-                provenance: Provenance::original(self.config.profile, steps),
-            },
-            SatResult::Unsat => StaubOutcome::Unsat {
-                provenance: Provenance::original(self.config.profile, steps),
-            },
-            SatResult::Unknown(_) => StaubOutcome::Unknown {
-                provenance: Provenance::none(bounded_steps + steps),
-            },
-        })
-    }
-
-    /// The portfolio race with an optional warm engine for the STAUB leg.
-    pub(crate) fn race_with(
-        &self,
-        script: &Script,
-        engine: Option<&mut BvSession>,
-    ) -> Result<StaubOutcome, StaubError> {
-        if script.assertions().is_empty() {
-            return Err(StaubError::EmptyScript);
-        }
-        Ok(portfolio::race_with(self, script, engine))
-    }
-}
-
-/// A verified bounded-path win: the lifted model plus the width multiplier
-/// (relative to the configured base) that produced it.
-pub(crate) struct BoundedWin {
-    pub(crate) model: Model,
-    pub(crate) multiplier: u32,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn run(src: &str) -> StaubOutcome {
-        let script = Script::parse(src).unwrap();
-        let staub = Staub::new(StaubConfig {
-            timeout: Duration::from_secs(5),
+    fn staub(width_choice: WidthChoice) -> Staub {
+        Staub::new(StaubConfig {
+            width_choice,
             ..Default::default()
-        });
-        staub.run_with(&script, None).unwrap()
-    }
-
-    #[test]
-    fn sat_via_bounded_path() {
-        let outcome = run(
-            "(declare-fun x () Int)(declare-fun y () Int)(declare-fun z () Int)
-             (assert (= (+ (* x x x) (* y y y) (* z z z)) 855))",
-        );
-        match outcome {
-            StaubOutcome::Sat { via, model, .. } => {
-                assert_eq!(via, Via::Bounded);
-                assert_eq!(model.len(), 3);
-            }
-            other => panic!("expected bounded sat, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn unsat_via_original() {
-        let outcome = run("(declare-fun x () Int)
-             (assert (>= x 0))(assert (<= x 3))(assert (= (* x x) 7))");
-        assert!(matches!(outcome, StaubOutcome::Unsat { .. }));
-    }
-
-    #[test]
-    fn linear_real_falls_back_gracefully() {
-        // Strict real inequalities often verify (dyadic witness) or revert.
-        let outcome = run("(declare-fun r () Real)(assert (> r 1.5))(assert (< r 2.5))");
-        assert!(matches!(outcome, StaubOutcome::Sat { .. }));
-    }
-
-    #[test]
-    fn empty_script_is_error() {
-        let script = Script::parse("(declare-fun x () Int)").unwrap();
-        assert_eq!(
-            Staub::default().run_with(&script, None).unwrap_err(),
-            StaubError::EmptyScript
-        );
+        })
     }
 
     #[test]
     fn fixed_width_configuration() {
         let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 49))").unwrap();
-        let staub = Staub::new(StaubConfig {
-            width_choice: WidthChoice::Fixed(16),
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        match staub.run_with(&script, None).unwrap() {
-            StaubOutcome::Sat { via, .. } => assert_eq!(via, Via::Bounded),
-            other => panic!("expected sat, got {other:?}"),
-        }
+        let transformed = staub(WidthChoice::Fixed(16)).transform(&script).unwrap();
+        assert_eq!(transformed.bv_width, Some(16));
     }
 
     #[test]
-    fn insufficient_fixed_width_reverts() {
-        // Width 4 cannot represent 49: transformation fails, original path
-        // answers.
+    fn insufficient_fixed_width_is_refused() {
+        // Width 4 cannot represent 49: the transform refuses, so a bounded
+        // lane at this width reports `not-applicable`.
         let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 49))").unwrap();
-        let staub = Staub::new(StaubConfig {
-            width_choice: WidthChoice::Fixed(4),
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        match staub.run_with(&script, None).unwrap() {
-            StaubOutcome::Sat { via, .. } => assert_eq!(via, Via::Original),
-            other => panic!("expected sat via original, got {other:?}"),
-        }
+        assert!(staub(WidthChoice::Fixed(4)).transform(&script).is_err());
     }
 
     #[test]
-    fn refinement_never_loses_answers() {
-        // With refinement enabled, every answer the unrefined bounded path
-        // finds must still be found (round 0 is the unrefined attempt).
-        let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 256))").unwrap();
-        let no_refine = Staub::new(StaubConfig {
-            width_choice: WidthChoice::Fixed(10),
-            refinement_rounds: 0,
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        let with_refine = Staub::new(StaubConfig {
-            width_choice: WidthChoice::Fixed(10),
-            refinement_rounds: 3,
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        let base = no_refine.try_bounded_with(
-            &script,
-            &Budget::new(Duration::from_secs(5), 4_000_000),
-            None,
-        );
-        let refined = with_refine.try_bounded_with(
-            &script,
-            &Budget::new(Duration::from_secs(5), 4_000_000),
-            None,
-        );
-        if base.is_some() {
-            assert!(refined.is_some(), "refinement must not lose answers");
-        }
-    }
-
-    #[test]
-    fn refinement_terminates_on_genuine_unsat() {
-        // A bounded `unsat` that persists across doublings: the loop must
-        // stop cleanly and the pipeline must still answer via the original.
+    fn inference_picks_the_motivating_width() {
         let script = Script::parse(
-            "(declare-fun x () Int)(assert (>= x 0))(assert (<= x 3))(assert (= (* x x) 7))",
+            "(declare-fun x () Int)(declare-fun y () Int)(declare-fun z () Int)
+             (assert (= (+ (* x x x) (* y y y) (* z z z)) 855))",
         )
         .unwrap();
-        let staub = Staub::new(StaubConfig {
-            refinement_rounds: 4,
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        let budget = Budget::new(Duration::from_secs(5), 4_000_000);
-        assert!(staub.try_bounded_with(&script, &budget, None).is_none());
-        assert!(matches!(
-            staub.run_with(&script, None).unwrap(),
-            StaubOutcome::Unsat { .. }
-        ));
-    }
-
-    #[test]
-    fn race_agrees_with_sequential() {
-        let src = "(declare-fun x () Int)(assert (= (* x x) 121))";
-        let script = Script::parse(src).unwrap();
-        let staub = Staub::new(StaubConfig {
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        let raced = staub.race_with(&script, None).unwrap();
-        assert!(matches!(raced, StaubOutcome::Sat { .. }));
-    }
-
-    #[test]
-    fn metrics_record_stage_spans_and_counters() {
-        let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 49))").unwrap();
-        let metrics = Arc::new(Metrics::new());
-        let staub = Staub::new(StaubConfig {
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        })
-        .with_metrics(Arc::clone(&metrics));
-        staub.run_with(&script, None).unwrap();
-        let snap = metrics.snapshot();
-        for stage in ["stage.absint", "stage.transform", "stage.solve"] {
-            assert!(snap.histograms.contains_key(stage), "missing {stage}");
-        }
-        assert_eq!(snap.counters.get("pipeline.verified"), Some(&1));
-        assert!(
-            snap.counters
-                .keys()
-                .any(|k| k.starts_with("solver.bounded.")),
-            "bounded solver counters recorded"
-        );
-    }
-
-    #[test]
-    fn default_pipeline_records_nothing() {
-        let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 49))").unwrap();
-        let staub = Staub::default();
-        staub.run_with(&script, None).unwrap();
-        assert!(staub.metrics().snapshot().is_empty());
-    }
-
-    #[test]
-    fn bounded_unsat_never_trusted() {
-        // x^2 = 2^40: the inferred width fits the constant; the bounded
-        // constraint is sat (x = 2^20 fits in 42 bits), but pick a narrow
-        // fixed width where the *guarded* bounded constraint is unsat and
-        // confirm the pipeline still answers sat via the original.
-        let script = Script::parse("(declare-fun x () Int)(assert (= (* x x) 256))").unwrap();
-        let staub = Staub::new(StaubConfig {
-            // Width 6: 256 does not fit signed 6 bits → transform error →
-            // fallback; and with width 10 the guards allow x=16. Use 6.
-            width_choice: WidthChoice::Fixed(6),
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        match staub.run_with(&script, None).unwrap() {
-            StaubOutcome::Sat { via, .. } => assert_eq!(via, Via::Original),
-            other => panic!("expected sat, got {other:?}"),
-        }
+        let staub = staub(WidthChoice::Inferred);
+        assert_eq!(staub.transform(&script).unwrap().bv_width, Some(12));
+        assert!(staub.infer(&script).nodes_visited > 0);
     }
 }

@@ -1,11 +1,14 @@
-//! Multi-lane batch portfolio scheduler.
+//! The lane planner and multi-lane portfolio scheduler: the one solve
+//! path behind every entry point (`staub FILE`, `staub stats`, `staub
+//! batch`, serve `solve` and session checks, library [`crate::Session`]s,
+//! and the termination prover).
 //!
-//! [`crate::portfolio::race`] races exactly two legs on one constraint.
-//! This module generalises that to a *batch* of constraints, each fanned
-//! out into K lanes — the baseline solver plus STAUB at the base
-//! (inferred or fixed) width and at escalated 2×/4× widths, optionally
-//! under several solver profiles — executed on a fixed pool of
-//! work-stealing worker threads. The first *sound* lane answer decides the
+//! [`plan_lanes`] fans each constraint out into K lanes — the baseline
+//! solver, a difference-logic STN lane and a certified complete lane where
+//! the fragment allows them, and STAUB at the base (inferred or fixed)
+//! width plus escalated 2×/4× widths or one refine lane, optionally under
+//! several solver profiles. A fixed pool of work-stealing worker threads
+//! executes the lanes. The first *sound* lane answer decides the
 //! constraint and cancels its sibling lanes through a shared
 //! [`CancelFlag`]; losing lanes observe the flag at their next step-budget
 //! check, so cancellation latency is bounded by one budget slice rather
@@ -57,12 +60,11 @@ use staub_solver::{
 };
 
 use crate::absint;
-use crate::check::CheckLevel;
+use crate::check;
 use crate::correspond::SortLimits;
 use crate::metrics::Metrics;
-use crate::pipeline::{Provenance, StaubConfig, WidthChoice};
+use crate::pipeline::{Provenance, WidthChoice};
 use crate::portfolio::{PortfolioReport, Winner};
-use crate::session::Session;
 use crate::transform::{transform, transform_with_widths, Transformed, WidthMap};
 use crate::verify::{lift_and_verify, lift_and_verify_report, saturated_vars, verify_model};
 
@@ -660,10 +662,9 @@ fn resolve_base_width(script: &Script, config: &BatchConfig) -> Option<u32> {
 
 /// The certified complete-lane width for a script, when one exists within
 /// the width limits: the script must be pure LIA and its certified width
-/// must fit the bitvector limit. Public so other surfaces (the CLI's
-/// unknown-reason report) apply the *same* eligibility test the planner
-/// does — a certificate wider than the lane limit is not lane-eligible.
-pub fn complete_width(script: &Script, limits: &SortLimits) -> Option<u32> {
+/// must fit the bitvector limit — a certificate wider than the lane limit
+/// is not lane-eligible.
+fn complete_width(script: &Script, limits: &SortLimits) -> Option<u32> {
     let cert = absint::certify(script);
     cert.certified_width.filter(|&w| w <= limits.max_bv_width)
 }
@@ -781,6 +782,9 @@ pub(crate) fn bounded_attempt(
 /// transformed script is pure boolean/bitvector the solve runs through the
 /// persistent engine (variable map, gate cache, learned clauses, phases);
 /// otherwise a fresh solver is spawned exactly as the cold path does.
+///
+/// Debug builds re-certify the translation before solving and the bounded
+/// model before verifying (see [`debug_certify`]).
 pub(crate) fn bounded_attempt_with(
     script: &Script,
     width: WidthChoice,
@@ -803,6 +807,7 @@ pub(crate) fn bounded_attempt_with(
             stats: SolverStats::default(),
         },
         Ok(tf) => {
+            debug_certify("transform", || check::check_transformed(script, &tf));
             let t1 = Instant::now();
             let (result, stats) = match engine {
                 Some(e) if staub_solver::is_bit_blastable(&tf.script) => {
@@ -814,6 +819,9 @@ pub(crate) fn bounded_attempt_with(
                 }
             };
             let t_post = t1.elapsed();
+            if let SatResult::Sat(m) = &result {
+                debug_certify("solve", || check::check_model(&tf.script, m));
+            }
             let t2 = Instant::now();
             let model = match &result {
                 SatResult::Sat(m) => lift_and_verify(script, &tf, m),
@@ -831,6 +839,20 @@ pub(crate) fn bounded_attempt_with(
     }
 }
 
+/// The `staub-lint` certifying checker between bounded-lane stages: in
+/// debug builds, runs `lint` and panics on error-severity findings (an
+/// invariant violation is a pipeline bug, and debug builds fail loudly).
+/// Release builds compile the check out.
+fn debug_certify(stage: &str, lint: impl FnOnce() -> staub_lint::LintReport) {
+    if cfg!(debug_assertions) {
+        let report = lint();
+        assert!(
+            report.is_clean(),
+            "staub-lint: `{stage}` output violates pipeline invariants:\n{report}"
+        );
+    }
+}
+
 fn out_of_steps(result: &SatResult, budget: &Budget) -> bool {
     matches!(result, SatResult::Unknown(UnknownReason::BudgetExhausted)) && !budget.is_cancelled()
 }
@@ -840,8 +862,9 @@ fn out_of_steps(result: &SatResult, budget: &Budget) -> bool {
 /// the original script and must pass every `L4xx` lint — fragment class,
 /// ledger, certified width, per-variable coverage, and `used_width ≥`
 /// certified width — before the promotion is allowed. This runs
-/// unconditionally (not just under `StaubConfig::check`): the promotion is
-/// a soundness claim, so it is never taken on an unchecked certificate.
+/// unconditionally (release builds too, unlike [`debug_certify`]): the
+/// promotion is a soundness claim, so it is never taken on an unchecked
+/// certificate.
 fn certificate_promotes(script: &Script, used_width: u32) -> bool {
     let cert = absint::certify(script);
     match cert.certified_width {
@@ -858,7 +881,7 @@ fn certificate_promotes(script: &Script, used_width: u32) -> bool {
 /// every STAUB `sat` is) or promote the extracted negative cycle to a
 /// trusted `unsat`. The promotion mirrors [`certificate_promotes`]: it is
 /// a soundness claim, so the independent `L5xx` lints re-check the cycle
-/// unconditionally — not just under `StaubConfig::check`.
+/// unconditionally — release builds too.
 fn run_dl_lane(
     script: &Script,
     spec: &LaneSpec,
@@ -976,26 +999,16 @@ fn run_dl_lane(
     }
 }
 
-/// Executes one lane to completion (or cancellation), with a fresh solver.
+/// Executes one lane to completion (or cancellation). Bounded lanes solve
+/// through `engine` when one is supplied (an escalation ladder's warm
+/// engine, or the one a [`crate::Session`] lends), else with a fresh
+/// solver; baseline and difference-logic lanes ignore it.
 fn run_lane(
     script: &Script,
     spec: &LaneSpec,
     cancel: &CancelFlag,
     config: &BatchConfig,
-    metrics: &Metrics,
-) -> LaneOutcome {
-    run_lane_with(script, spec, cancel, config, None, metrics)
-}
-
-/// [`run_lane`] with an optional warm [`Session`] for STAUB lanes — the
-/// escalation-ladder path. Baseline and refine lanes ignore the session
-/// (a refine lane owns its engine: its width map must drive the blast).
-fn run_lane_with(
-    script: &Script,
-    spec: &LaneSpec,
-    cancel: &CancelFlag,
-    config: &BatchConfig,
-    mut session: Option<&mut Session>,
+    mut engine: Option<&mut BvSession>,
     metrics: &Metrics,
 ) -> LaneOutcome {
     let start = Instant::now();
@@ -1040,9 +1053,7 @@ fn run_lane_with(
                 rungs: Vec::new(),
             }
         }
-        LaneKind::Refine { width, depth } => {
-            run_refine_lane(script, spec, *width, *depth, cancel, config, metrics)
-        }
+        LaneKind::Refine { .. } => run_refine_lane(script, spec, cancel, config, engine, metrics),
         LaneKind::DiffLogic => run_dl_lane(script, spec, cancel, config),
         kind @ (LaneKind::Staub { .. } | LaneKind::Complete { .. }) => {
             // A complete lane is the same bounded pipeline pinned to the
@@ -1055,10 +1066,14 @@ fn run_lane_with(
                 }
             };
             let mut budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-            let mut attempt = match session.as_deref_mut() {
-                Some(s) => s.bounded_attempt_at(script, width, &budget),
-                None => bounded_attempt(script, width, &config.limits, spec.profile, &budget),
-            };
+            let mut attempt = bounded_attempt_with(
+                script,
+                width,
+                &config.limits,
+                spec.profile,
+                &budget,
+                engine.as_deref_mut(),
+            );
             steps_used += budget.steps_used();
             stats.merge(&attempt.stats);
             let needs_retry = attempt
@@ -1068,10 +1083,14 @@ fn run_lane_with(
             if config.retry && needs_retry {
                 retried = true;
                 budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-                attempt = match session {
-                    Some(s) => s.bounded_attempt_at(script, width, &budget),
-                    None => bounded_attempt(script, width, &config.limits, spec.profile, &budget),
-                };
+                attempt = bounded_attempt_with(
+                    script,
+                    width,
+                    &config.limits,
+                    spec.profile,
+                    &budget,
+                    engine,
+                );
                 steps_used += budget.steps_used();
                 stats.merge(&attempt.stats);
             }
@@ -1180,9 +1199,10 @@ fn widen_suspects(
 
 /// Executes a [`LaneKind::Refine`] lane: a warm per-variable refinement
 /// ladder. Each rung transforms with the accumulated [`WidthMap`], solves
-/// through a persistent [`BvSession`] (so widened rungs reuse the low-bit
-/// encoding and learned clauses), and on an inconclusive verdict widens
-/// only the implicated variables:
+/// through a persistent [`BvSession`] (`engine` when supplied, else one
+/// the lane owns; either way widened rungs reuse the low-bit encoding and
+/// learned clauses), and on an inconclusive verdict widens only the
+/// implicated variables:
 ///
 /// * bounded `unsat` → the unsat core's assertions (overflow guards
 ///   first); a core-free unsat widens everything (global fallback);
@@ -1198,14 +1218,27 @@ fn widen_suspects(
 fn run_refine_lane(
     script: &Script,
     spec: &LaneSpec,
-    base: WidthChoice,
-    depth_cap: u32,
     cancel: &CancelFlag,
     config: &BatchConfig,
+    engine: Option<&mut BvSession>,
     metrics: &Metrics,
 ) -> LaneOutcome {
+    let LaneKind::Refine {
+        width: base,
+        depth: depth_cap,
+    } = spec.kind
+    else {
+        unreachable!("run_refine_lane runs refine lanes only")
+    };
     let start = Instant::now();
-    let mut engine = BvSession::new(spec.profile.sat_config());
+    let mut owned;
+    let engine = match engine {
+        Some(e) => e,
+        None => {
+            owned = BvSession::new(spec.profile.sat_config());
+            &mut owned
+        }
+    };
     let mut widths = WidthMap::new();
     let mut choice = base;
     let mut rungs: Vec<RefineRung> = Vec::new();
@@ -1251,6 +1284,7 @@ fn run_refine_lane(
                 }
             }
         };
+        debug_certify("transform", || check::check_transformed(script, &tf));
         let node_width = tf
             .bv_width
             .or(tf.fp_format.map(|(eb, sb)| eb + sb))
@@ -1280,6 +1314,7 @@ fn run_refine_lane(
         };
         match result {
             SatResult::Sat(bounded_model) => {
+                debug_certify("solve", || check::check_model(&tf.script, &bounded_model));
                 let t2 = Instant::now();
                 let (lifted, report) = lift_and_verify_report(script, &tf, &bounded_model);
                 t_check += t2.elapsed();
@@ -1390,7 +1425,7 @@ fn run_refine_lane(
 /// One unit of scheduling: a *group* of lane indices of one cell. Most
 /// groups are singletons (independently racing lanes); under
 /// [`RunOptions::warm`], a cell's STAUB lanes of one profile form a single
-/// sequential escalation ladder sharing a warm [`Session`].
+/// sequential escalation ladder sharing a warm [`BvSession`].
 #[derive(Debug, Clone, Copy)]
 struct Job {
     cell: usize,
@@ -1411,6 +1446,9 @@ struct Cell<'a> {
     specs: Vec<LaneSpec>,
     /// Lane indices grouped into schedulable jobs (see [`Job`]).
     groups: Vec<Vec<usize>>,
+    /// A warm engine lent by a [`crate::Session`] for the first profile's
+    /// bounded lanes; the first such job takes it.
+    engine: Mutex<Option<&'a mut BvSession>>,
     cancel: CancelFlag,
     started: Instant,
     state: Mutex<CellState>,
@@ -1448,7 +1486,7 @@ pub struct RunOptions {
     pub metrics: Option<Arc<Metrics>>,
     /// Warm-start escalation ladders: run each profile's STAUB lanes as
     /// one sequential ladder (ascending widths) sharing a persistent
-    /// [`Session`], instead of racing fresh-solver lanes. The ladder stops
+    /// [`BvSession`], instead of racing fresh-solver lanes. The ladder stops
     /// at the first sound answer, marking unreached rungs `cancelled`.
     /// Defaults to `true`; verdicts are unaffected (only wasted re-solving
     /// is), because warm checks are sound for exactly the reasons cold
@@ -1479,6 +1517,17 @@ pub fn run_batch_with(
     config: &BatchConfig,
     options: &RunOptions,
 ) -> Vec<BatchReport> {
+    run_batch_impl(items, config, options, None)
+}
+
+/// The scheduler proper. `engine`, when supplied, is lent to the first
+/// item's bounded lanes of the first profile (see [`run_one_in`]).
+fn run_batch_impl(
+    items: &[BatchItem],
+    config: &BatchConfig,
+    options: &RunOptions,
+    mut engine: Option<&mut BvSession>,
+) -> Vec<BatchReport> {
     let disabled;
     let metrics: &Metrics = match &options.metrics {
         Some(m) => m,
@@ -1487,15 +1536,6 @@ pub fn run_batch_with(
             &disabled
         }
     };
-    run_batch_impl(items, config, metrics, options.warm)
-}
-
-fn run_batch_impl(
-    items: &[BatchItem],
-    config: &BatchConfig,
-    metrics: &Metrics,
-    warm: bool,
-) -> Vec<BatchReport> {
     let workers = config.worker_count().max(1);
     metrics.gauge_set("sched.workers", workers as i64);
     metrics.incr("sched.constraints", items.len() as u64);
@@ -1504,11 +1544,12 @@ fn run_batch_impl(
         .map(|item| {
             let specs = plan_lanes(&item.script, config);
             let lanes = specs.len();
-            let groups = plan_groups(&specs, warm);
+            let groups = plan_groups(&specs, options.warm);
             Cell {
                 item,
                 specs,
                 groups,
+                engine: Mutex::new(engine.take()),
                 cancel: CancelFlag::new(),
                 started: Instant::now(),
                 state: Mutex::new(CellState {
@@ -1615,11 +1656,24 @@ pub fn run_one_with(
     config: &BatchConfig,
     options: &RunOptions,
 ) -> BatchReport {
+    run_one_in(name, script, config, options, None)
+}
+
+/// [`run_one_with`] with an optional warm engine, lent to the bounded
+/// lanes of the first profile — how a [`crate::Session`] carries learned
+/// clauses, the variable map and the gate cache across its checks.
+pub(crate) fn run_one_in(
+    name: &str,
+    script: &Script,
+    config: &BatchConfig,
+    options: &RunOptions,
+    engine: Option<&mut BvSession>,
+) -> BatchReport {
     let items = [BatchItem {
         name: name.to_string(),
         script: script.clone(),
     }];
-    run_batch_with(&items, config, options)
+    run_batch_impl(&items, config, options, engine)
         .pop()
         .expect("one item in, one report out")
 }
@@ -1655,28 +1709,31 @@ fn next_job(wid: usize, queues: &[Mutex<VecDeque<Job>>]) -> Option<Job> {
 fn execute_job(job: Job, cells: &[Cell<'_>], config: &BatchConfig, metrics: &Metrics) {
     let cell = &cells[job.cell];
     let group = &cell.groups[job.group];
+    let first = &cell.specs[group[0]];
+    let lent = if first.is_staub() && config.profiles.first() == Some(&first.profile) {
+        cell.engine.lock().expect("engine lock").take()
+    } else {
+        None
+    };
     if group.len() == 1 {
         let lane = group[0];
-        let outcome = run_or_skip(cell, lane, config, metrics);
+        let outcome = run_or_skip(cell, lane, config, lent, metrics);
         submit(cell, lane, outcome, config, metrics);
         return;
     }
     // An escalation ladder: this profile's STAUB lanes run sequentially
-    // (ascending width, plan order) through one warm session, so each rung
+    // (ascending width, plan order) through one warm engine, so each rung
     // re-uses the previous rung's low-bit encoding, learned clauses,
     // phases, and activities. The ladder stops at the first sound rung.
     metrics.incr("sched.ladder_jobs", 1);
-    let profile = cell.specs[group[0]].profile;
-    let mut session = Session::new(StaubConfig {
-        width_choice: config.width_choice,
-        limits: config.limits,
-        profile,
-        timeout: config.timeout,
-        steps: config.steps,
-        refinement_rounds: 0,
-        check: CheckLevel::default(),
-        var_widths: WidthMap::new(),
-    });
+    let mut owned;
+    let engine = match lent {
+        Some(e) => e,
+        None => {
+            owned = BvSession::new(first.profile.sat_config());
+            &mut owned
+        }
+    };
     let mut answered = false;
     for &lane in group {
         let spec = &cell.specs[lane];
@@ -1687,12 +1744,12 @@ fn execute_job(job: Job, cells: &[Cell<'_>], config: &BatchConfig, metrics: &Met
         } else {
             metrics.incr("sched.lane_started", 1);
             metrics.incr("sched.warm_rungs", 1);
-            run_lane_with(
+            run_lane(
                 &cell.item.script,
                 spec,
                 &cell.cancel,
                 config,
-                Some(&mut session),
+                Some(&mut *engine),
                 metrics,
             )
         };
@@ -1704,11 +1761,12 @@ fn execute_job(job: Job, cells: &[Cell<'_>], config: &BatchConfig, metrics: &Met
 }
 
 /// Runs one lane unless its constraint is already decided (sibling
-/// cancellation), with a fresh solver.
+/// cancellation), with the lent engine if any, else a fresh solver.
 fn run_or_skip(
     cell: &Cell<'_>,
     lane: usize,
     config: &BatchConfig,
+    engine: Option<&mut BvSession>,
     metrics: &Metrics,
 ) -> LaneOutcome {
     let spec = &cell.specs[lane];
@@ -1717,7 +1775,14 @@ fn run_or_skip(
         LaneOutcome::skipped(spec, &cell.cancel)
     } else {
         metrics.incr("sched.lane_started", 1);
-        run_lane(&cell.item.script, spec, &cell.cancel, config, metrics)
+        run_lane(
+            &cell.item.script,
+            spec,
+            &cell.cancel,
+            config,
+            engine,
+            metrics,
+        )
     }
 }
 

@@ -1,126 +1,113 @@
-//! Incremental solving sessions: the unified entrypoint of the pipeline.
+//! Incremental solving sessions: the library entrypoint of the pipeline.
 //!
-//! A [`Session`] owns the STAUB pipeline configuration *and* a persistent
-//! solver engine ([`BvSession`]) that survives across `check()` calls.
-//! Where a one-shot pipeline run spawns a fresh solver per call, a session
-//! carries forward:
+//! A [`Session`] owns a planner configuration ([`BatchConfig`]), an
+//! SMT-LIB assertion stack, *and* a persistent solver engine
+//! ([`BvSession`]) that survives across checks. Every check runs the same
+//! solve path as `staub batch` and serve `solve`: [`crate::sched::plan_lanes`]
+//! plans the lanes (baseline, difference-logic, complete, STAUB ladder or
+//! refine) and the scheduler behind [`crate::run_one_with`] races them, so
+//! a session reports the same lanes, cost and trust as every other entry
+//! point. The one difference is warmth: the session lends its engine to
+//! the bounded lanes of the first profile, which carry forward
 //!
 //! * the bit-blaster's **variable map** (symbol name × bit → SAT variable)
 //!   and **structural gate cache**, so re-encoding an unchanged or widened
 //!   constraint reuses the existing circuit instead of rebuilding it;
 //! * the SAT core's **learned clauses**, **saved phases**, and
-//!   **variable activities** — all valid forever because the session only
+//!   **variable activities** — all valid forever because the engine only
 //!   accumulates satisfiable-standalone Tseitin definitions at level 0 and
-//!   passes assertion roots as per-check *assumptions*;
-//! * the simplex tableau across added rows (for the arithmetic lanes of
-//!   future checks that share structure).
+//!   passes assertion roots as per-check *assumptions*.
 //!
 //! Widening a bitvector variable from `w` to `2w` bits reuses the low `w`
 //! SAT variables (two's-complement low bits agree across widths for every
-//! value representable at `w`), so [`Session::widen_and_recheck`] pays only
-//! for the extension bits — this is what makes warm escalation ladders
-//! cheaper than cold ones. [`Session::widen_vars_and_recheck`] sharpens
-//! that further: it widens only *named* variables (a [`WidthMap`] request
-//! per variable, sign-extended to the node width at use sites), the
-//! primitive behind the scheduler's counterexample-guided refine lane.
+//! value representable at `w`), so the escalation ladder's wider rungs and
+//! the refine lane's per-variable widenings pay only for the extension
+//! bits, within one check and across checks alike.
 //!
 //! # Incremental scripting
 //!
 //! Sessions also expose SMT-LIB-style assertion levels:
 //!
 //! ```
-//! use staub_core::{Session, StaubOutcome};
+//! use staub_core::Session;
 //!
 //! let mut session = Session::default();
 //! session.assert_text("(declare-fun x () Int)(assert (>= x 0))(assert (<= x 10))")?;
 //! session.assert_text("(assert (= (* x x) 49))")?;
-//! assert_eq!(session.check()?.verdict_name(), "sat");
+//! assert_eq!(session.check()?.verdict.name(), "sat");
 //! session.push();
 //! session.assert_text("(assert (>= x 8))")?;
-//! assert_eq!(session.check()?.verdict_name(), "unsat");
+//! assert_eq!(session.check()?.verdict.name(), "unsat");
 //! session.pop();
-//! assert_eq!(session.check()?.verdict_name(), "sat");
+//! assert_eq!(session.check()?.verdict.name(), "sat");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use std::sync::Arc;
 
-use staub_smtlib::{Model, ParseError, Script};
-use staub_solver::{Budget, BvSession};
+use staub_smtlib::{ParseError, Script};
+use staub_solver::{BvSession, SolverProfile};
 
 use crate::metrics::Metrics;
-use crate::pipeline::{Provenance, Staub, StaubConfig, StaubError, StaubOutcome, Via, WidthChoice};
-use crate::transform::WidthMap;
+use crate::pipeline::StaubError;
+use crate::sched::{run_one_in, BatchConfig, BatchReport, RunOptions};
 
-/// An incremental solving session: pipeline configuration, assertion
+/// An incremental solving session: planner configuration, assertion
 /// stack, and a warm solver engine shared by every check.
 ///
 /// This is the intended public entrypoint for solving.
 pub struct Session {
-    staub: Staub,
+    config: BatchConfig,
+    options: RunOptions,
     engine: BvSession,
     /// Assertion frames; `frames[0]` is the base level and is never popped.
     /// Each frame holds SMT-LIB source fragments in assertion order.
     frames: Vec<Vec<String>>,
     /// Parse cache for the current combined source.
     cached: Option<(String, Script)>,
-    /// Width multiplier of the most recent check (1 = base width).
-    multiplier: u32,
-    /// Accumulated per-variable width requests (selective widening).
-    widths: WidthMap,
 }
 
 impl Default for Session {
     fn default() -> Session {
-        Session::new(StaubConfig::default())
+        Session::new(BatchConfig::default())
     }
 }
 
 impl Session {
-    /// Creates a session with the given pipeline configuration.
-    pub fn new(config: StaubConfig) -> Session {
-        let engine = BvSession::new(config.profile.sat_config());
+    /// Creates a session that plans and schedules lanes under `config`.
+    /// The warm engine is tuned for the first profile in
+    /// [`BatchConfig::profiles`].
+    pub fn new(config: BatchConfig) -> Session {
+        let profile = config
+            .profiles
+            .first()
+            .copied()
+            .unwrap_or(SolverProfile::Zed);
         Session {
-            staub: Staub::new(config),
-            engine,
+            engine: BvSession::new(profile.sat_config()),
+            config,
+            options: RunOptions::default(),
             frames: vec![Vec::new()],
             cached: None,
-            multiplier: 1,
-            widths: WidthMap::new(),
         }
     }
 
-    /// Attaches a metrics registry (see `Staub::with_metrics`).
+    /// Attaches a metrics registry: every check records the scheduler's
+    /// `sched.*` events and per-lane `solver.<label>.*` counters.
     pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Session {
-        self.staub = self.staub.with_metrics(metrics);
+        self.options.metrics = Some(metrics);
         self
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &StaubConfig {
-        self.staub.config()
-    }
-
-    /// The attached metrics registry (disabled unless set).
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        self.staub.metrics()
+    /// The planner configuration.
+    pub fn config(&self) -> &BatchConfig {
+        &self.config
     }
 
     /// The persistent solver engine (checks performed, gate-cache hits —
     /// useful for warm-start diagnostics).
     pub fn engine(&self) -> &BvSession {
         &self.engine
-    }
-
-    /// The width multiplier of the most recent check (1 = base width).
-    pub fn width_multiplier(&self) -> u32 {
-        self.multiplier
-    }
-
-    /// Per-variable width requests accumulated by
-    /// [`Session::widen_vars_and_recheck`] (empty = uniform widths).
-    pub fn var_widths(&self) -> &WidthMap {
-        &self.widths
     }
 
     // -- assertion stack ---------------------------------------------------
@@ -202,154 +189,43 @@ impl Session {
 
     // -- checks ------------------------------------------------------------
 
-    /// Checks the current assertion stack at the configured base width,
-    /// warm-starting from all previous checks.
+    /// Checks the current assertion stack: plans its lanes and races them,
+    /// warm-starting the bounded lanes from all previous checks. The
+    /// report's models are keyed by [`Session::script`]'s symbol store.
     ///
     /// # Errors
     ///
     /// Returns [`StaubError::EmptyScript`] when no assertions are active.
-    pub fn check(&mut self) -> Result<StaubOutcome, StaubError> {
-        self.check_scaled(1)
-    }
-
-    /// Doubles the translation width and re-checks the current assertion
-    /// stack, reusing the low-bit encoding of every bitvector variable
-    /// from previous checks (only the extension bits are re-blasted).
-    ///
-    /// When the constraint has no bounded counterpart (so there is no
-    /// width to widen), this behaves like [`Session::check`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaubError::EmptyScript`] when no assertions are active.
-    pub fn widen_and_recheck(&mut self) -> Result<StaubOutcome, StaubError> {
-        let next = self.multiplier.saturating_mul(2).max(2);
-        self.check_scaled(next)
-    }
-
-    /// Doubles the translation width of the *named* variables only and
-    /// re-checks the current assertion stack. Unnamed variables keep their
-    /// current width and are sign-extended at use sites, so the refinement
-    /// pays (and re-blasts) only for the variables a counterexample or
-    /// unsat core actually blamed. Widths are clamped to
-    /// `limits.max_bv_width` and accumulate monotonically across calls
-    /// (see [`Session::var_widths`]).
-    ///
-    /// When the constraint has no bounded counterpart, this behaves like
-    /// [`Session::check`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaubError::EmptyScript`] when no assertions are active.
-    pub fn widen_vars_and_recheck(&mut self, vars: &[&str]) -> Result<StaubOutcome, StaubError> {
+    pub fn check(&mut self) -> Result<BatchReport, StaubError> {
         self.ensure_parsed();
         let (_, script) = self.cached.as_ref().expect("ensure_parsed populated cache");
-        let max = self.staub.config().limits.max_bv_width;
-        let scaled = scale_width(&self.staub, script, self.multiplier, &self.widths);
-        let staub = scaled.as_ref().unwrap_or(&self.staub);
-        // The transform reports each variable's current encoded width; when
-        // it fails outright (e.g. a constant too wide for a narrow fixed
-        // base), fall back to the accumulated request or the fixed base —
-        // the next transform clamps whatever we request anyway.
-        let transformed = staub.transform(script).ok();
-        let fixed_base = match staub.config().width_choice {
-            WidthChoice::Fixed(w) => Some(w),
-            _ => None,
-        };
-        for v in vars {
-            let current = transformed
-                .as_ref()
-                .and_then(|tf| tf.var_widths.iter().find(|(n, _)| n == v).map(|&(_, w)| w))
-                .or_else(|| self.widths.get(v))
-                .or(fixed_base);
-            if let Some(cur) = current {
-                self.widths.widen(v, cur.saturating_mul(2).min(max));
-            }
-        }
-        self.check_scaled(self.multiplier)
+        solve(&self.config, &self.options, &mut self.engine, script)
     }
 
-    fn check_scaled(&mut self, multiplier: u32) -> Result<StaubOutcome, StaubError> {
-        self.ensure_parsed();
-        self.multiplier = multiplier;
-        let (_, script) = self.cached.as_ref().expect("ensure_parsed populated cache");
-        let profile = self.staub.config().profile;
-        let scaled = scale_width(&self.staub, script, multiplier, &self.widths);
-        let staub = scaled.as_ref().unwrap_or(&self.staub);
-        let mut outcome = staub.run_with(script, Some(&mut self.engine))?;
-        if multiplier > 1 {
-            if let StaubOutcome::Sat {
-                via: Via::Bounded,
-                provenance,
-                ..
-            } = &mut outcome
-            {
-                // `run_with` reports the multiplier relative to *its* base
-                // width; compose it with the session's escalation factor.
-                let total = provenance.multiplier.saturating_mul(multiplier);
-                *provenance = Provenance::bounded(profile, total, provenance.steps);
-            }
-        }
-        Ok(outcome)
-    }
-
-    // -- one-shot entrypoints (re-homed from `Staub`) ----------------------
-
-    /// Runs the full pipeline on `script` (bounded path, then the original
-    /// constraint), warm-starting the bounded solve from previous calls.
-    /// The session's assertion stack is not consulted.
+    /// Plans and races the lanes of `script`, warm-starting the bounded
+    /// lanes from previous calls. The session's assertion stack is not
+    /// consulted.
     ///
     /// # Errors
     ///
     /// Returns [`StaubError::EmptyScript`] for scripts without assertions.
-    pub fn run(&mut self, script: &Script) -> Result<StaubOutcome, StaubError> {
-        self.multiplier = 1;
-        self.staub.run_with(script, Some(&mut self.engine))
+    pub fn run(&mut self, script: &Script) -> Result<BatchReport, StaubError> {
+        solve(&self.config, &self.options, &mut self.engine, script)
     }
+}
 
-    /// Runs the two-core portfolio race on `script` (baseline thread vs
-    /// warm STAUB thread), as in the paper's measurement methodology
-    /// (§5.1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaubError::EmptyScript`] for scripts without assertions.
-    pub fn race(&mut self, script: &Script) -> Result<StaubOutcome, StaubError> {
-        self.multiplier = 1;
-        self.staub.race_with(script, Some(&mut self.engine))
+/// One check: the scheduler's single-constraint path with the session's
+/// engine lent to the bounded lanes.
+fn solve(
+    config: &BatchConfig,
+    options: &RunOptions,
+    engine: &mut BvSession,
+    script: &Script,
+) -> Result<BatchReport, StaubError> {
+    if script.assertions().is_empty() {
+        return Err(StaubError::EmptyScript);
     }
-
-    /// Attempts the bounded path only on `script`: transform, warm solve,
-    /// verify. Returns `Some(model)` iff a bounded constraint is
-    /// satisfiable *and* its model verifies against the original.
-    pub fn try_bounded(&mut self, script: &Script, budget: &Budget) -> Option<Model> {
-        self.multiplier = 1;
-        self.staub
-            .try_bounded_with(script, budget, Some(&mut self.engine))
-            .map(|w| w.model)
-    }
-
-    /// One lane-shaped bounded attempt at an explicit width, through the
-    /// warm engine — the primitive the batch scheduler's escalation
-    /// ladders execute.
-    pub(crate) fn bounded_attempt_at(
-        &mut self,
-        script: &Script,
-        width: WidthChoice,
-        budget: &Budget,
-    ) -> crate::sched::BoundedAttempt {
-        let config = self.staub.config();
-        let limits = config.limits;
-        let profile = config.profile;
-        crate::sched::bounded_attempt_with(
-            script,
-            width,
-            &limits,
-            profile,
-            budget,
-            Some(&mut self.engine),
-        )
-    }
+    Ok(run_one_in("session", script, config, options, Some(engine)))
 }
 
 /// Concatenates the assertion frames into one SMT-LIB source.
@@ -364,43 +240,17 @@ fn combine(frames: &[Vec<String>]) -> String {
     out
 }
 
-/// When the session has accumulated an escalation (`multiplier > 1`) or
-/// per-variable width requests, a pipeline clone carrying them: the
-/// multiplier pins `multiplier ×` the base translation width, and the
-/// width map is layered over whatever choice results.
-fn scale_width(
-    staub: &Staub,
-    script: &Script,
-    multiplier: u32,
-    widths: &WidthMap,
-) -> Option<Staub> {
-    if multiplier <= 1 && widths.is_empty() {
-        return None;
-    }
-    let config = staub.config();
-    let mut width_choice = config.width_choice;
-    if multiplier > 1 {
-        let transformed = staub.transform(script).ok()?;
-        let base = transformed
-            .bv_width
-            .or(transformed.fp_format.map(|(_, sb)| sb))?;
-        width_choice = WidthChoice::Fixed(base.saturating_mul(multiplier));
-    }
-    let scaled = Staub::new(StaubConfig {
-        width_choice,
-        var_widths: widths.clone(),
-        ..config.clone()
-    });
-    Some(scaled.with_metrics(Arc::clone(staub.metrics())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_one_with;
+    use crate::sched::{plan_lanes, LaneKind, LaneSpec, LaneVerdict};
+    use crate::WidthChoice;
     use std::time::Duration;
 
-    fn config() -> StaubConfig {
-        StaubConfig {
+    fn config() -> BatchConfig {
+        BatchConfig {
+            threads: 2,
             timeout: Duration::from_secs(5),
             ..Default::default()
         }
@@ -413,21 +263,18 @@ mod tests {
             .assert_text("(declare-fun x () Int)(assert (>= x 0))(assert (<= x 10))")
             .unwrap();
         session.assert_text("(assert (= (* x x) 49))").unwrap();
-        assert!(matches!(session.check().unwrap(), StaubOutcome::Sat { .. }));
+        assert_eq!(session.check().unwrap().verdict.name(), "sat");
         session.push();
         session.assert_text("(assert (>= x 8))").unwrap();
-        assert!(matches!(
-            session.check().unwrap(),
-            StaubOutcome::Unsat { .. }
-        ));
+        assert_eq!(session.check().unwrap().verdict.name(), "unsat");
         assert!(session.pop());
-        assert!(matches!(session.check().unwrap(), StaubOutcome::Sat { .. }));
+        assert_eq!(session.check().unwrap().verdict.name(), "sat");
         // Pop-then-re-assert: a *different* constraint on the same symbol.
         session.push();
         session.assert_text("(assert (= x 7))").unwrap();
-        match session.check().unwrap() {
-            StaubOutcome::Sat { model, .. } => assert_eq!(model.len(), 1),
-            other => panic!("expected sat, got {other:?}"),
+        match session.check().unwrap().verdict {
+            crate::BatchVerdict::Sat(model) => assert_eq!(model.len(), 1),
+            other => panic!("expected sat, got {}", other.name()),
         }
     }
 
@@ -449,7 +296,7 @@ mod tests {
         assert!(session.assert_text("(assert (= x").is_err());
         // The bad fragment was dropped: a valid follow-up still works.
         session.assert_text("(assert (= x 3))").unwrap();
-        assert!(matches!(session.check().unwrap(), StaubOutcome::Sat { .. }));
+        assert_eq!(session.check().unwrap().verdict.name(), "sat");
     }
 
     #[test]
@@ -461,89 +308,61 @@ mod tests {
     }
 
     #[test]
-    fn warm_checks_agree_with_cold_pipeline() {
+    fn warm_checks_agree_with_cold_scheduler() {
+        // Every lane runs to completion, so lane verdicts are comparable
+        // lane by lane between the warm session and cold scheduler runs.
+        let config = BatchConfig {
+            cancel_losers: false,
+            ..config()
+        };
         let sources = [
             "(declare-fun x () Int)(assert (= (* x x) 49))",
             "(declare-fun x () Int)(assert (>= x 0))(assert (<= x 3))(assert (= (* x x) 7))",
             "(declare-fun x () Int)(assert (= (* x x) 121))",
         ];
-        let mut session = Session::new(config());
-        let staub = Staub::new(config());
+        let mut session = Session::new(config.clone());
         for src in sources {
             let script = Script::parse(src).unwrap();
             let warm = session.run(&script).unwrap();
-            let cold = staub.run_with(&script, None).unwrap();
-            assert_eq!(warm.verdict_name(), cold.verdict_name(), "{src}");
+            let cold = run_one_with("cold", &script, &config, &RunOptions::default());
+            assert_eq!(warm.verdict.name(), cold.verdict.name(), "{src}");
+            let labels = |r: &BatchReport| -> Vec<String> {
+                r.lanes.iter().map(|l| l.spec.label()).collect()
+            };
+            let planned: Vec<String> = plan_lanes(&script, &config)
+                .iter()
+                .map(LaneSpec::label)
+                .collect();
+            assert_eq!(labels(&warm), planned, "{src}");
+            assert_eq!(labels(&cold), planned, "{src}");
+            // The base bounded lane reaches the same conclusion warm as
+            // cold: a verified model, or an (untrusted) bounded unsat.
+            let base = |r: &BatchReport| {
+                r.lanes
+                    .iter()
+                    .find(|l| matches!(l.spec.kind, LaneKind::Staub { escalation: 1, .. }))
+                    .map(|l| l.verdict)
+            };
+            assert_eq!(base(&warm), base(&cold), "{src}");
         }
-        assert_eq!(session.engine().checks(), 3);
     }
 
     #[test]
-    fn widen_and_recheck_reports_composed_multiplier() {
-        let mut session = Session::new(StaubConfig {
+    fn bounded_lanes_run_on_the_lent_engine() {
+        // No baseline lane: the bounded ladder must answer, through the
+        // session's engine, and the base rung verifies at 8 bits.
+        let mut session = Session::new(BatchConfig {
             width_choice: WidthChoice::Fixed(8),
+            include_baseline: false,
             ..config()
         });
         session
             .assert_text("(declare-fun x () Int)(assert (= (* x x) 49))")
             .unwrap();
-        match session.check().unwrap() {
-            StaubOutcome::Sat { provenance, .. } => {
-                assert_eq!(provenance.multiplier, 1);
-                assert_eq!(provenance.label, "staub/x1/zed");
-            }
-            other => panic!("expected sat, got {other:?}"),
-        }
-        let hits_before = session.engine().gate_cache_hits();
-        match session.widen_and_recheck().unwrap() {
-            StaubOutcome::Sat { provenance, .. } => {
-                assert_eq!(provenance.multiplier, 2);
-                assert_eq!(provenance.label, "staub/x2/zed");
-            }
-            other => panic!("expected sat, got {other:?}"),
-        }
-        assert_eq!(session.width_multiplier(), 2);
-        // Widening re-used the low-bit encoding from the first check.
-        assert!(
-            session.engine().gate_cache_hits() > hits_before,
-            "widened check must hit the warm gate cache"
-        );
-    }
-
-    #[test]
-    fn widen_named_var_and_recheck_is_selective() {
-        // `big` needs 15 bits (103² = 10609); `small` fits anywhere. At an
-        // 8-bit base the bounded path cannot represent the square, but
-        // doubling *only* `big` to 16 bits makes it bounded-verifiable.
-        let mut session = Session::new(StaubConfig {
-            width_choice: WidthChoice::Fixed(8),
-            ..config()
-        });
-        session
-            .assert_text(
-                "(declare-fun big () Int)(declare-fun small () Int)\
-                 (assert (>= small 0))(assert (<= small 3))\
-                 (assert (>= big 0))(assert (= (* big big) 10609))",
-            )
-            .unwrap();
-        let outcome = session.widen_vars_and_recheck(&["big"]).unwrap();
-        let big = session
-            .script()
-            .and_then(|s| s.store().symbol("big"))
-            .unwrap();
-        match outcome {
-            StaubOutcome::Sat { model, .. } => {
-                use staub_numeric::BigInt;
-                use staub_smtlib::Value;
-                assert_eq!(model.get(big), Some(&Value::Int(BigInt::from(103))));
-            }
-            other => panic!("expected sat, got {other:?}"),
-        }
-        // Only the named variable was widened, and the request sticks.
-        assert_eq!(session.var_widths().get("big"), Some(16));
-        assert_eq!(session.var_widths().get("small"), None);
-        // A second round doubles from the *current* (widened) width.
-        session.widen_vars_and_recheck(&["big"]).unwrap();
-        assert_eq!(session.var_widths().get("big"), Some(32));
+        let report = session.check().unwrap();
+        let winner = report.winner_lane().expect("the base rung answers");
+        assert_eq!(winner.spec.label(), "staub/x1/zed");
+        assert_eq!(winner.verdict, LaneVerdict::SatVerified);
+        assert!(session.engine().checks() > 0, "the lent engine solved");
     }
 }

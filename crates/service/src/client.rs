@@ -10,7 +10,6 @@
 //! original constraint — the client-side half of the soundness story.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -38,37 +37,6 @@ impl Connection<EndpointStream> {
     /// Propagates connect failures.
     pub fn connect(endpoint: &Endpoint) -> io::Result<Connection<EndpointStream>> {
         Ok(Connection::over(endpoint.connect()?))
-    }
-}
-
-impl Connection<TcpStream> {
-    /// Connects over TCP (blocking reads; responses are caller-paced).
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect failures.
-    #[deprecated(note = "use `Connection::connect` with an `Endpoint`")]
-    pub fn connect_tcp(addr: &str) -> io::Result<Connection<TcpStream>> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Connection::over(stream))
-    }
-}
-
-#[cfg(unix)]
-impl Connection<std::os::unix::net::UnixStream> {
-    /// Connects over a Unix domain socket.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect failures.
-    #[deprecated(note = "use `Connection::connect` with an `Endpoint`")]
-    pub fn connect_unix(
-        path: &std::path::Path,
-    ) -> io::Result<Connection<std::os::unix::net::UnixStream>> {
-        Ok(Connection::over(std::os::unix::net::UnixStream::connect(
-            path,
-        )?))
     }
 }
 
@@ -423,7 +391,7 @@ impl LoadgenOutcome {
         }
     }
 
-    /// Latency percentile (p in [0,100]) over completed requests,
+    /// Latency percentile (`p` in `[0, 100]`) over completed requests,
     /// nearest-rank convention.
     pub fn latency_percentile(&self, p: f64) -> Duration {
         if self.records.is_empty() {

@@ -56,6 +56,4 @@ pub use protocol::{
     parse_request, LineRead, LineReader, ProtocolError, Request, SolveRequest, PROTOCOL_VERSION,
 };
 pub use route::{RouteConfig, Router};
-#[allow(deprecated)]
-pub use server::ServeConfig;
 pub use server::{DrainSummary, Server, ServerConfig};

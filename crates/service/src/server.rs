@@ -46,11 +46,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use staub_core::{
-    run_one_with, BatchConfig, BatchVerdict, Metrics, RunOptions, Session, StaubConfig, StaubError,
-    StaubOutcome,
+    run_one_with, BatchConfig, BatchReport, BatchVerdict, Metrics, RunOptions, Session, StaubError,
 };
 use staub_smtlib::{canonicalize, evaluate, Canonical, Model, Script, Value};
-use staub_solver::SolverProfile;
 
 use crate::cache::{AnswerCache, AnswerStore, CacheConfig, CachedVerdict};
 use crate::endpoint::{Endpoint, EndpointListener, EndpointStream};
@@ -195,62 +193,6 @@ impl ServerConfig {
     pub fn node_name(mut self, name: impl Into<String>) -> ServerConfig {
         self.node_name = Some(name.into());
         self
-    }
-}
-
-/// The pre-v3 configuration shape, kept one release for callers that
-/// have not migrated (mirrors the `RunOptions` migration pattern).
-#[deprecated(note = "use `ServerConfig` (builder) with `Server::launch`")]
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// TCP address to bind (e.g. `127.0.0.1:7227`; port `0` for ephemeral).
-    pub tcp: String,
-    /// Optional Unix-socket path to additionally bind (Unix only).
-    pub unix: Option<std::path::PathBuf>,
-    /// Scheduler configuration for cache misses.
-    pub batch: BatchConfig,
-    /// Answer-cache tuning; `None` disables the cache entirely.
-    pub cache: Option<CacheConfig>,
-    /// Maximum `solve` requests running lanes at once.
-    pub max_inflight: usize,
-    /// Maximum queued `solve` requests before `overloaded`.
-    pub max_waiting: usize,
-    /// Request-line size cap in bytes.
-    pub max_line_bytes: usize,
-    /// Per-read socket timeout.
-    pub read_timeout: Duration,
-}
-
-#[allow(deprecated)]
-impl Default for ServeConfig {
-    fn default() -> ServeConfig {
-        ServeConfig {
-            tcp: "127.0.0.1:0".to_string(),
-            unix: None,
-            batch: BatchConfig::default(),
-            cache: Some(CacheConfig::default()),
-            max_inflight: 4,
-            max_waiting: 64,
-            max_line_bytes: protocol::DEFAULT_MAX_LINE_BYTES,
-            read_timeout: Duration::from_millis(50),
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<ServeConfig> for ServerConfig {
-    fn from(old: ServeConfig) -> ServerConfig {
-        ServerConfig {
-            tcp: Endpoint::Tcp(old.tcp),
-            unix: old.unix,
-            batch: old.batch,
-            cache: old.cache,
-            max_inflight: old.max_inflight,
-            max_waiting: old.max_waiting,
-            max_line_bytes: old.max_line_bytes,
-            read_timeout: old.read_timeout,
-            ..ServerConfig::default()
-        }
     }
 }
 
@@ -473,14 +415,6 @@ impl Server {
             addr,
             accept_handles,
         })
-    }
-
-    /// Pre-v3 entry point; binds and starts exactly like
-    /// [`Server::launch`] after converting the configuration.
-    #[deprecated(note = "use `Server::launch` with `ServerConfig`")]
-    #[allow(deprecated)]
-    pub fn start(config: ServeConfig) -> io::Result<Server> {
-        Server::launch(config.into())
     }
 
     /// The bound TCP address (useful with an ephemeral port).
@@ -1039,26 +973,12 @@ fn solve_one(inner: &Arc<Inner>, v: u32, req: &SolveRequest) -> String {
         run_one_with(&name, &script, &batch, &options)
     });
 
-    let winner = report.winner_lane().map(|l| l.spec.label());
-    let (verdict, bindings): (&'static str, Option<Vec<(String, String)>>) = match &report.verdict {
-        BatchVerdict::Sat(model) => ("sat", Some(named_bindings(&script, model))),
-        BatchVerdict::Unsat => ("unsat", None),
-        BatchVerdict::Unknown => ("unknown", None),
-    };
-
-    if use_cache {
-        match &report.verdict {
-            BatchVerdict::Sat(model) => cache_store(inner, &canon, Some(model), &winner),
-            BatchVerdict::Unsat => cache_store(inner, &canon, None, &winner),
-            BatchVerdict::Unknown => {}
-        }
-    }
-
+    let (bindings, winner) = settle(inner, &canon, &script, &report, use_cache);
     SolveReply {
         v,
         id: req.id.clone(),
         session: None,
-        verdict,
+        verdict: report.verdict.name(),
         model: bindings,
         winner,
         provenance: report.provenance(),
@@ -1069,6 +989,29 @@ fn solve_one(inner: &Arc<Inner>, v: u32, req: &SolveRequest) -> String {
         route: reply_route(inner, req),
     }
     .to_json()
+}
+
+/// Caches a fresh report's decided verdict (every scheduler decision is
+/// a trusted lane verdict, so replaying it for a canonically identical
+/// constraint is sound) and returns the reply's model bindings and
+/// winning lane label.
+fn settle(
+    inner: &Inner,
+    canon: &Canonical,
+    script: &Script,
+    report: &BatchReport,
+    use_cache: bool,
+) -> (Option<Vec<(String, String)>>, Option<String>) {
+    let winner = report.winner_lane().map(|l| l.spec.label());
+    let model = match &report.verdict {
+        BatchVerdict::Sat(model) => Some(model),
+        BatchVerdict::Unsat => None,
+        BatchVerdict::Unknown => return (None, winner),
+    };
+    if use_cache {
+        cache_store(inner, canon, model, &winner);
+    }
+    (model.map(|m| named_bindings(script, m)), winner)
 }
 
 // ---------------------------------------------------------------------------
@@ -1102,17 +1045,10 @@ fn open_session(
     if let Some(s) = steps {
         step_budget = step_budget.min(s.max(1));
     }
-    let config = StaubConfig {
-        width_choice: batch.width_choice,
-        limits: batch.limits,
-        profile: batch
-            .profiles
-            .first()
-            .copied()
-            .unwrap_or(SolverProfile::Zed),
+    let config = BatchConfig {
         timeout,
         steps: step_budget,
-        ..StaubConfig::default()
+        ..batch.clone()
     };
     let session = Session::new(config).with_metrics(Arc::clone(&inner.metrics));
     sessions.next += 1;
@@ -1163,45 +1099,27 @@ fn check_session(
     }
 
     inner.metrics.incr("serve.session.checks", 1);
-    let outcome = match inner.metrics.time("serve.solve", || session.check()) {
-        Ok(outcome) => outcome,
+    let report = match inner.metrics.time("serve.solve", || session.check()) {
+        Ok(report) => report,
         Err(StaubError::EmptyScript) => {
             inner.metrics.incr("serve.errors", 1);
             return protocol::error_reply(2, id, codes::EMPTY_SCRIPT, "session asserts nothing");
         }
     };
 
-    let provenance = outcome.provenance().clone();
-    let winner = Some(provenance.label.clone());
-    let (verdict, bindings): (&'static str, Option<Vec<(String, String)>>) = match &outcome {
-        StaubOutcome::Sat { model, .. } => ("sat", Some(named_bindings(&script, model))),
-        StaubOutcome::Unsat { .. } => ("unsat", None),
-        StaubOutcome::Unknown { .. } => ("unknown", None),
-    };
-    if use_cache {
-        match &outcome {
-            StaubOutcome::Sat { model, .. } => cache_store(inner, &canon, Some(model), &winner),
-            // A session `unsat` is sound — proven on the original
-            // constraint, or promoted from a certified complete lane —
-            // so replaying it for a canonically identical constraint is
-            // sound too, the same invariant the scheduler path relies on.
-            StaubOutcome::Unsat { .. } => cache_store(inner, &canon, None, &winner),
-            StaubOutcome::Unknown { .. } => {}
-        }
-    }
-
+    let (bindings, winner) = settle(inner, &canon, &script, &report, use_cache);
     SolveReply {
         v: 2,
         id: id.map(str::to_string),
         session: Some(name.to_string()),
-        verdict,
+        verdict: report.verdict.name(),
         model: bindings,
         winner,
-        provenance: Some(provenance),
+        provenance: report.provenance(),
         cache: if use_cache { "miss" } else { "off" },
         fingerprint: canon.fingerprint_hex(),
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        stats_json: None,
+        stats_json: Some(report.stats_json()),
         route: Vec::new(),
     }
     .to_json()
@@ -1320,20 +1238,6 @@ mod tests {
         let gate = AdmissionGate::new(1, 4);
         assert!(gate.acquire(|| false).is_ok());
         assert!(matches!(gate.acquire(|| true), Err(Refused::ShuttingDown)));
-    }
-
-    #[test]
-    fn deprecated_config_converts_to_the_new_shape() {
-        #[allow(deprecated)]
-        let old = ServeConfig {
-            tcp: "127.0.0.1:9".into(),
-            max_inflight: 7,
-            ..ServeConfig::default()
-        };
-        let new: ServerConfig = old.into();
-        assert_eq!(new.tcp, Endpoint::Tcp("127.0.0.1:9".into()));
-        assert_eq!(new.max_inflight, 7);
-        assert!(!new.threaded, "converted configs keep the reactor default");
     }
 
     #[test]

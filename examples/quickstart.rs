@@ -4,7 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use staub::core::{Session, Staub, StaubOutcome, Via};
+use staub::core::{BatchVerdict, Session, Staub};
 use staub::smtlib::Script;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,28 +35,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         transformed.script
     );
 
-    // Run the full pipeline (bounded path + fallback) in a session —
-    // repeated or widened checks would warm-start from this one.
+    // Solve in a session: the lane planner races the baseline solver
+    // against the bounded lanes, and repeated checks warm-start from this
+    // one.
     let mut session = Session::default();
-    match session.run(&script)? {
-        StaubOutcome::Sat {
-            model,
-            via,
-            provenance,
-        } => {
-            println!(
-                "sat (via the {} constraint, lane {})",
-                if via == Via::Bounded {
-                    "bounded"
-                } else {
-                    "original"
-                },
-                provenance.label
-            );
-            println!("model:\n{}", model.to_smtlib(script.store()));
-        }
-        StaubOutcome::Unsat { .. } => println!("unsat"),
-        StaubOutcome::Unknown { .. } => println!("unknown"),
+    let report = session.run(&script)?;
+    println!("{}", report.verdict.name());
+    for lane in &report.lanes {
+        println!("  lane {}: {}", lane.spec.label(), lane.verdict.name());
+    }
+    if let BatchVerdict::Sat(model) = &report.verdict {
+        let winner = report.winner_lane().expect("a sat verdict has a winner");
+        println!(
+            "model (lane {}):\n{}",
+            winner.spec.label(),
+            model.to_smtlib(script.store())
+        );
     }
     Ok(())
 }

@@ -5,7 +5,7 @@
 //! cargo run --release --example termination_proving
 //! ```
 
-use staub::core::StaubConfig;
+use staub::core::BatchConfig;
 use staub::termination::{Program, TerminationProver, Verdict};
 use std::time::Duration;
 
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     let baseline = TerminationProver::default();
-    let with_staub = TerminationProver::with_staub(StaubConfig {
+    let with_staub = TerminationProver::with_staub(BatchConfig {
         timeout: Duration::from_millis(800),
         steps: 1_000_000,
         ..Default::default()

@@ -18,21 +18,24 @@
 //!   --emit             print the bounded SMT-LIB constraint and exit
 //!   --width <N>        fixed bitvector width instead of inference
 //!   --profile <P>      solver profile: zed (default) or cove
-//!   --timeout-ms <N>   per-solver-call wall-clock budget (default 1000)
-//!   --refine <N>       iterative width refinement rounds (default 0)
+//!   --timeout-ms <N>   per-lane wall-clock budget (default 1000)
+//!   --refine <N>       refine lane at depth N instead of the 2x/4x ladder
 //!   --reduce           width-reduce an already-bounded QF_BV input (§6.4)
-//!   --race             run the two-core portfolio race (default: sequential)
-//!   --stats            print inference and timing details
+//!   --stats            print inference, the planned lanes, and timing
 //! ```
+//!
+//! Solving plans the same lanes `staub batch` does (baseline,
+//! difference-logic, certified complete, and the STAUB width ladder or
+//! refine lane) and races them; the first sound answer wins.
 //!
 //! The `lint` subcommand runs the `staub-lint` certifying checker: it
 //! re-sorts the parsed input and, when the input is transformable,
 //! re-certifies the bounded translation (boundedness, guard domination,
 //! correspondence). Exits nonzero iff error-severity findings exist.
 //!
-//! The `stats` subcommand runs the pipeline once with the metrics
-//! registry enabled and prints the verdict followed by per-stage
-//! wall-clock spans and solver-internal counters.
+//! The `stats` subcommand solves once with the metrics registry enabled
+//! and prints the verdict, the winning lane, every planned lane's outcome,
+//! and the scheduler events and per-lane solver-internal counters.
 //!
 //! The `batch` subcommand drives every given constraint through the
 //! multi-lane portfolio scheduler (baseline + STAUB width-escalation
@@ -49,7 +52,9 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use staub::core::{Session, Staub, StaubConfig, StaubOutcome, Via, WidthChoice};
+use staub::core::{
+    BatchConfig, BatchReport, BatchVerdict, Session, Staub, StaubConfig, WidthChoice,
+};
 use staub::smtlib::Script;
 use staub::solver::SolverProfile;
 
@@ -59,9 +64,8 @@ struct Options {
     width: WidthChoice,
     profile: SolverProfile,
     timeout: Duration,
-    race: bool,
     stats: bool,
-    refine: u32,
+    refine: Option<u32>,
     reduce: bool,
 }
 
@@ -74,16 +78,14 @@ fn parse_args() -> Result<Options, String> {
         width: WidthChoice::Inferred,
         profile: SolverProfile::Zed,
         timeout: Duration::from_millis(1000),
-        race: false,
         stats: false,
-        refine: 0,
+        refine: None,
         reduce: false,
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--emit" => options.emit = true,
             "--reduce" => options.reduce = true,
-            "--race" => options.race = true,
             "--stats" => options.stats = true,
             "--width" => {
                 let w = args
@@ -99,11 +101,12 @@ fn parse_args() -> Result<Options, String> {
                 other => return Err(format!("unknown profile {other:?}")),
             },
             "--refine" => {
-                options.refine = args
+                let depth = args
                     .next()
                     .ok_or("--refine needs a value")?
                     .parse::<u32>()
-                    .map_err(|e| format!("invalid refinement rounds: {e}"))?;
+                    .map_err(|e| format!("invalid refinement depth: {e}"))?;
+                options.refine = Some(depth);
             }
             "--timeout-ms" => {
                 let ms = args
@@ -123,7 +126,7 @@ fn parse_args() -> Result<Options, String> {
 }
 
 const USAGE: &str = "usage: staub [--emit] [--reduce] [--width N] \
-[--profile zed|cove] [--timeout-ms N] [--refine N] [--race] [--stats] <file.smt2>
+[--profile zed|cove] [--timeout-ms N] [--refine N] [--stats] <file.smt2>
        staub lint [--width N] <file.smt2>
        staub stats [--width N] [--profile zed|cove] [--timeout-ms N] <file.smt2>
        staub batch [--threads N] [--timeout-ms N] [--steps N] [--width N] \
@@ -140,13 +143,15 @@ const USAGE: &str = "usage: staub [--emit] [--reduce] [--width N] \
 const STATS_USAGE: &str = "usage: staub stats [--width N] [--profile zed|cove] \
 [--timeout-ms N] <file.smt2>
 
-Runs the full arbitrage pipeline once with the metrics registry enabled and
-prints the verdict followed by per-stage wall-clock spans (parse, absint,
-transform, lint, solve, verify) and solver-internal counters (SAT
-decisions/conflicts/propagations/restarts, bit-blasted clauses, simplex
-pivots, branch-and-bound nodes, ICP contractions, FP local-search moves).";
+Plans and races the constraint's lanes once (the same plan `staub batch`
+uses) with the metrics registry enabled, and prints the verdict, the
+winning lane, each planned lane's outcome, the unknown reason when no lane
+decided, then the metrics snapshot: parse span, scheduler events, and
+per-lane solver-internal counters (SAT decisions/conflicts/propagations/
+restarts, bit-blasted clauses, simplex pivots, branch-and-bound nodes, ICP
+contractions, FP local-search moves).";
 
-/// `staub stats`: one observed pipeline run, then the metrics snapshot.
+/// `staub stats`: one observed solve, then the metrics snapshot.
 fn stats_main(args: Vec<String>) -> ExitCode {
     use staub::core::Metrics;
     use std::sync::Arc;
@@ -210,50 +215,18 @@ fn stats_main(args: Vec<String>) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut session = Session::new(StaubConfig {
+    let mut session = Session::new(BatchConfig {
         width_choice: width,
-        profile,
+        profiles: vec![profile],
         timeout,
-        ..Default::default()
+        ..BatchConfig::default()
     })
     .with_metrics(Arc::clone(&metrics));
     match session.run(&script) {
-        Ok(outcome) => {
-            println!("{}", outcome.verdict_name());
-            let p = outcome.provenance();
-            println!(
-                "; lane {} (x{}) in {} steps",
-                p.label, p.multiplier, p.steps
-            );
-            if outcome.verdict_name() == "unknown" {
-                // Distinguish a recoverable unknown (more budget could
-                // decide it) from a structural one, using the scheduler's
-                // own lane-eligibility test so both surfaces agree: a
-                // certificate wider than the lane limit is not eligible.
-                let limits = staub::core::correspond::SortLimits::default();
-                let cert = staub::core::certify(&script);
-                let reason = if staub::core::difference_logic(&script).is_some() {
-                    "budget exhausted (difference-logic fragment; retry with more steps)"
-                        .to_string()
-                } else {
-                    match (
-                        staub::core::complete_width(&script, &limits),
-                        cert.certified_width,
-                    ) {
-                        (Some(_), _) => {
-                            "budget exhausted (certified lia fragment; retry with more steps)"
-                                .to_string()
-                        }
-                        (None, Some(w)) => format!(
-                            "linear but not difference logic; certified width {w} exceeds \
-                             the {}-bit lane limit",
-                            limits.max_bv_width
-                        ),
-                        (None, None) => {
-                            format!("ineligible fragment ({})", cert.fragment.name())
-                        }
-                    }
-                };
+        Ok(report) => {
+            println!("{}", report.verdict.name());
+            print!("{}", lane_summary(&report));
+            if let Some(reason) = report.unknown_reason {
                 println!("; unknown reason: {reason}");
             }
         }
@@ -1155,14 +1128,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let config = StaubConfig {
+    let staub = Staub::new(StaubConfig {
         width_choice: options.width,
-        profile: options.profile,
-        timeout: options.timeout,
-        refinement_rounds: options.refine,
         ..Default::default()
-    };
-    let staub = Staub::new(config.clone());
+    });
 
     if options.stats {
         let bounds = staub.infer(&script);
@@ -1240,45 +1209,51 @@ fn main() -> ExitCode {
     }
 
     let start = std::time::Instant::now();
-    let mut session = Session::new(config);
-    let outcome = if options.race {
-        session.race(&script)
-    } else {
-        session.run(&script)
-    };
-    match outcome {
-        Ok(StaubOutcome::Sat {
-            model,
-            via,
-            provenance,
-        }) => {
-            println!("sat");
-            if options.stats {
-                eprintln!(
-                    "; via {} path (lane {}) in {:?}",
-                    if via == Via::Bounded {
-                        "bounded"
-                    } else {
-                        "original"
-                    },
-                    provenance.label,
-                    start.elapsed()
-                );
-            }
-            println!("{}", model.to_smtlib(script.store()));
-            ExitCode::SUCCESS
-        }
-        Ok(StaubOutcome::Unsat { .. }) => {
-            println!("unsat");
-            ExitCode::SUCCESS
-        }
-        Ok(StaubOutcome::Unknown { .. }) => {
-            println!("unknown");
-            ExitCode::SUCCESS
-        }
+    let defaults = BatchConfig::default();
+    let mut session = Session::new(BatchConfig {
+        width_choice: options.width,
+        profiles: vec![options.profile],
+        timeout: options.timeout,
+        refine: options.refine.is_some(),
+        refine_depth: options.refine.unwrap_or(defaults.refine_depth),
+        ..defaults
+    });
+    let report = match session.run(&script) {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
+    };
+    println!("{}", report.verdict.name());
+    if options.stats {
+        eprint!("{}", lane_summary(&report));
+        eprintln!("; answered in {:?}", start.elapsed());
     }
+    if let BatchVerdict::Sat(model) = &report.verdict {
+        println!("{}", model.to_smtlib(script.store()));
+    }
+    ExitCode::SUCCESS
+}
+
+/// `;`-comment lines naming the winning lane and every planned lane's
+/// outcome, shared by `staub FILE --stats` and `staub stats`.
+fn lane_summary(report: &BatchReport) -> String {
+    let mut out = match report.provenance() {
+        Some(p) => format!(
+            "; lane {} (x{}) in {} steps\n",
+            p.label, p.multiplier, p.steps
+        ),
+        None => "; lane none\n".to_string(),
+    };
+    for lane in &report.lanes {
+        out.push_str(&format!(
+            ";   {} {} ({} steps, {:.3} ms)\n",
+            lane.spec.label(),
+            lane.verdict.name(),
+            lane.steps_used,
+            lane.elapsed.as_secs_f64() * 1e3
+        ));
+    }
+    out
 }

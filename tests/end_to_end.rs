@@ -7,7 +7,7 @@ use std::time::Duration;
 use staub::benchgen::{generate, SuiteKind};
 use staub::core::{
     portfolio, run_one_with, BatchConfig, BatchVerdict, LaneVerdict, RunOptions, Session, Staub,
-    StaubConfig, StaubOutcome, WidthChoice,
+    StaubConfig, WidthChoice,
 };
 use staub::smtlib::{evaluate, Script, Value};
 use staub::solver::SolverProfile;
@@ -26,6 +26,16 @@ fn staub(profile: SolverProfile) -> Staub {
     Staub::new(config(profile))
 }
 
+/// The lane planner's configuration matching [`config`].
+fn batch_config(profile: SolverProfile) -> BatchConfig {
+    BatchConfig {
+        profiles: vec![profile],
+        timeout: Duration::from_millis(500),
+        steps: 800_000,
+        ..Default::default()
+    }
+}
+
 /// Every `Sat` outcome carries a model that exactly satisfies the original
 /// script; every `Unsat` agrees with ground truth.
 #[test]
@@ -34,10 +44,10 @@ fn pipeline_is_sound_on_all_suites() {
         for profile in [SolverProfile::Zed, SolverProfile::Cove] {
             // One warm session per (suite, profile): later constraints
             // warm-start from earlier ones, and soundness must survive it.
-            let mut session = Session::new(config(profile));
+            let mut session = Session::new(batch_config(profile));
             for b in generate(kind, 18, 0xE2E) {
-                match session.run(&b.script).expect("non-empty script") {
-                    StaubOutcome::Sat { model, .. } => {
+                match session.run(&b.script).expect("non-empty script").verdict {
+                    BatchVerdict::Sat(model) => {
                         assert_ne!(
                             b.expected,
                             Some(false),
@@ -53,10 +63,10 @@ fn pipeline_is_sound_on_all_suites() {
                             );
                         }
                     }
-                    StaubOutcome::Unsat { .. } => {
+                    BatchVerdict::Unsat => {
                         assert_ne!(b.expected, Some(true), "{}: unsat but expected sat", b.name);
                     }
-                    StaubOutcome::Unknown { .. } => {}
+                    BatchVerdict::Unknown => {}
                 }
             }
         }
@@ -82,20 +92,29 @@ fn portfolio_never_slows_down() {
     }
 }
 
-/// The motivating example end to end: inferred width 12, verified model.
+/// The motivating example end to end: inferred width 12, and the base
+/// bounded lane verifies a model (no baseline lane races it here, so the
+/// lane outcomes are deterministic).
 #[test]
 fn motivating_example_via_bounded_path() {
     let script = staub::benchgen::sum_of_cubes(855);
-    let cfg = StaubConfig {
-        timeout: Duration::from_secs(10),
-        steps: u64::MAX,
-        ..Default::default()
-    };
-    let tool = Staub::new(cfg.clone());
+    let tool = Staub::new(StaubConfig::default());
     let transformed = tool.transform(&script).expect("transformable");
     assert_eq!(transformed.bv_width, Some(12), "the paper's Fig. 1b width");
-    match Session::new(cfg).run(&script).expect("non-empty") {
-        StaubOutcome::Sat { model, .. } => {
+    let report = Session::new(BatchConfig {
+        timeout: Duration::from_secs(10),
+        steps: u64::MAX,
+        include_baseline: false,
+        ..Default::default()
+    })
+    .run(&script)
+    .expect("non-empty");
+    let base = &report.lanes[0];
+    assert_eq!(base.spec.label(), "staub/x1/zed");
+    assert_eq!(base.verdict, LaneVerdict::SatVerified);
+    assert_eq!(report.winner, Some(0), "the base lane answers");
+    match report.verdict {
+        BatchVerdict::Sat(model) => {
             let cubes: i64 = ["x", "y", "z"]
                 .iter()
                 .map(|n| {
@@ -138,7 +157,7 @@ fn emitted_constraints_round_trip_through_text() {
 /// constants reverts cleanly (error, not wrong answer).
 #[test]
 fn narrow_fixed_widths_revert_cleanly() {
-    let mut session = Session::new(StaubConfig {
+    let mut session = Session::new(BatchConfig {
         width_choice: WidthChoice::Fixed(6),
         timeout: Duration::from_millis(500),
         ..Default::default()
@@ -146,8 +165,8 @@ fn narrow_fixed_widths_revert_cleanly() {
     for b in generate(SuiteKind::QfNia, 12, 7) {
         // Either transformation fails (constants too wide) or the pipeline
         // still returns a sound answer via verification/fallback.
-        match session.run(&b.script).expect("non-empty") {
-            StaubOutcome::Sat { model, .. } => {
+        match session.run(&b.script).expect("non-empty").verdict {
+            BatchVerdict::Sat(model) => {
                 for &a in b.script.assertions() {
                     assert_eq!(
                         evaluate(b.script.store(), a, &model).unwrap(),
@@ -157,8 +176,8 @@ fn narrow_fixed_widths_revert_cleanly() {
                     );
                 }
             }
-            StaubOutcome::Unsat { .. } => assert_ne!(b.expected, Some(true), "{}", b.name),
-            StaubOutcome::Unknown { .. } => {}
+            BatchVerdict::Unsat => assert_ne!(b.expected, Some(true), "{}", b.name),
+            BatchVerdict::Unknown => {}
         }
     }
 }

@@ -13,7 +13,7 @@
 //!    representable.
 
 use proptest::prelude::*;
-use staub::core::{Session, Staub, StaubConfig, StaubOutcome, WidthChoice};
+use staub::core::{BatchConfig, BatchVerdict, Session, Staub, StaubConfig, WidthChoice};
 use staub::numeric::BigInt;
 use staub::smtlib::{evaluate, Model, Script, Sort, TermId, Value};
 use std::time::Duration;
@@ -131,6 +131,16 @@ fn tool() -> Staub {
     Staub::new(tool_config())
 }
 
+/// The lane planner's configuration matching [`tool_config`].
+fn session_config() -> BatchConfig {
+    BatchConfig {
+        width_choice: WidthChoice::Inferred,
+        timeout: Duration::from_secs(2),
+        steps: 2_000_000,
+        ..Default::default()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -142,8 +152,8 @@ proptest! {
     ) {
         let script = build_script(&lhs, &rhs, cmp);
         let truth = oracle(&script);
-        match Session::new(tool_config()).run(&script).expect("non-empty") {
-            StaubOutcome::Sat { model, .. } => {
+        match Session::new(session_config()).run(&script).expect("non-empty").verdict {
+            BatchVerdict::Sat(model) => {
                 prop_assert!(truth, "pipeline sat, oracle unsat:\n{script}");
                 for &a in script.assertions() {
                     prop_assert_eq!(
@@ -152,10 +162,10 @@ proptest! {
                     );
                 }
             }
-            StaubOutcome::Unsat { .. } => {
+            BatchVerdict::Unsat => {
                 prop_assert!(!truth, "pipeline unsat, oracle sat:\n{script}");
             }
-            StaubOutcome::Unknown { .. } => {} // budget; sound either way
+            BatchVerdict::Unknown => {} // budget; sound either way
         }
     }
 

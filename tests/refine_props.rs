@@ -1,7 +1,8 @@
 //! Differential battery for counterexample-guided per-variable width
 //! refinement: on randomly generated instances, the refine lane, the
-//! blind escalation ladder, and an independent sequential [`Session`]
-//! reference must never contradict each other, must respect the
+//! blind escalation ladder, and an independent sequential reference
+//! ([`portfolio::measure`], which shares no scheduling code with the
+//! lanes) must never contradict each other, must respect the
 //! generator's ground truth, and every `sat` must ship a model that
 //! exactly evaluates the *original* unbounded constraint to true.
 //!
@@ -11,17 +12,17 @@
 //! script variable.
 //!
 //! A third drives the same refinement through the incremental
-//! [`Session`] surface: push a poisoning constraint, check, pop,
-//! re-assert, and per-variable widening must still land the same verdict
-//! as a session that never detoured.
+//! [`Session`] surface, whose warm engine the refine lane borrows: push a
+//! poisoning constraint, check, pop, and per-variable widening must still
+//! land the same verdict as a session that never detoured.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 use staub::benchgen::{generate, generate_skewed, Benchmark, SuiteKind};
 use staub::core::{
-    run_one_with, BatchConfig, BatchReport, BatchVerdict, LaneKind, RunOptions, Session,
-    StaubConfig, StaubOutcome, WidthChoice,
+    portfolio, run_one_with, BatchConfig, BatchReport, BatchVerdict, LaneKind, RunOptions, Session,
+    Staub, StaubConfig, WidthChoice,
 };
 use staub::smtlib::{evaluate, Value};
 
@@ -52,6 +53,18 @@ fn corpus(seed: u64) -> Vec<Benchmark> {
     items.extend(generate(SuiteKind::QfLia, 2, seed));
     items.extend(generate_skewed(2, seed));
     items
+}
+
+/// The verdict the sequential measurement implies: a verified bounded
+/// model or a baseline `sat` is `sat`, a baseline `unsat` is `unsat`.
+fn sequential_verdict(report: &portfolio::PortfolioReport) -> &'static str {
+    if report.verified || report.baseline_result.is_sat() {
+        "sat"
+    } else if report.baseline_result.is_unsat() {
+        "unsat"
+    } else {
+        "unknown"
+    }
 }
 
 /// `sat` against `unsat` between two sound verdicts is the only possible
@@ -97,16 +110,17 @@ proptest! {
                 run_one_with(&bench.name, &bench.script, &batch_config(true), &RunOptions::default());
             let blind =
                 run_one_with(&bench.name, &bench.script, &batch_config(false), &RunOptions::default());
-            // Independent reference: the sequential incremental pipeline
-            // under its own (inferred) width strategy.
-            let reference = Session::new(StaubConfig {
-                timeout: Duration::from_secs(60),
-                steps: STEPS,
-                ..StaubConfig::default()
-            })
-            .run(&bench.script)
-            .map(|o| o.verdict_name())
-            .unwrap_or("unknown");
+            // Independent reference: one sequential bounded attempt under
+            // its own (inferred) width strategy, then the original
+            // constraint.
+            let reference = sequential_verdict(&portfolio::measure(
+                &Staub::new(StaubConfig {
+                    timeout: Duration::from_secs(60),
+                    steps: STEPS,
+                    ..StaubConfig::default()
+                }),
+                &bench.script,
+            ));
 
             let r = refined.verdict.name();
             let b = blind.verdict.name();
@@ -182,11 +196,11 @@ proptest! {
         else {
             return Ok(());
         };
-        let config = StaubConfig {
-            timeout: Duration::from_secs(60),
-            steps: STEPS,
-            width_choice: WidthChoice::Fixed(9),
-            ..StaubConfig::default()
+        // The refine lane alone (no baseline to answer for it), on one
+        // worker, borrowing each session's warm engine.
+        let config = BatchConfig {
+            include_baseline: false,
+            ..batch_config(true)
         };
         let src = bench.script.to_string();
 
@@ -195,49 +209,51 @@ proptest! {
         detour.assert_text(&src).expect("generated script parses");
         detour.push();
         detour.assert_text("(assert (< y 0))").expect("poison parses");
-        let poisoned = detour.check().map(|o| o.verdict_name()).unwrap_or("unknown");
+        let poisoned = detour.check().map_or("unknown", |r| r.verdict.name());
         prop_assert!(
             poisoned != "sat",
             "{}: y < 0 contradicts y >= 0 but checked sat", bench.name
         );
         prop_assert!(detour.pop(), "poison frame pops");
 
-        // Fresh session: straight to the same per-variable widening.
+        // Fresh session: straight to the same per-variable refinement.
         let mut fresh = Session::new(config);
         fresh.assert_text(&src).expect("generated script parses");
 
-        let widen = ["y", "z"];
-        let detour_verdict = detour
-            .widen_vars_and_recheck(&widen)
-            .map(|o| o.verdict_name())
-            .unwrap_or("unknown");
-        let fresh_verdict = fresh
-            .widen_vars_and_recheck(&widen)
-            .map(|o| o.verdict_name())
-            .unwrap_or("unknown");
+        let detour_report = detour.check().expect("non-empty stack");
+        let fresh_report = fresh.check().expect("non-empty stack");
         prop_assert_eq!(
-            detour_verdict,
-            fresh_verdict,
+            detour_report.verdict.name(),
+            fresh_report.verdict.name(),
             "{}: pop-then-re-assert diverges from a fresh session", bench.name
         );
-        // Only the requested pair carries a width request.
-        for session in [&detour, &fresh] {
-            prop_assert!(session.var_widths().get("y").is_some());
-            prop_assert!(session.var_widths().get("z").is_some());
-            prop_assert!(session.var_widths().get("w0").is_none());
+        // Both checks ran the refine lane, and every widening it made
+        // named a real script variable.
+        let script = fresh.script().expect("non-empty stack").clone();
+        for report in [&detour_report, &fresh_report] {
+            let lane = report
+                .lanes
+                .iter()
+                .find(|l| matches!(l.spec.kind, LaneKind::Refine { .. }))
+                .expect("refine lane planned");
+            prop_assert!(!lane.rungs.is_empty(), "{}: refine lane ran no rung", bench.name);
+            for name in lane.rungs.iter().flat_map(|r| &r.widened) {
+                prop_assert!(
+                    script.store().symbol(name).is_some(),
+                    "{}: widened unknown variable {name}", bench.name
+                );
+            }
         }
-        // When the widened check decides sat, the model is exact on the
+        // When the refined check decides sat, the model is exact on the
         // original assertions.
-        if fresh_verdict == "sat" {
-            if let Ok(StaubOutcome::Sat { model, .. }) = fresh.check() {
-                for &a in bench.script.assertions() {
-                    prop_assert_eq!(
-                        evaluate(bench.script.store(), a, &model).expect("model is total"),
-                        Value::Bool(true),
-                        "{}: widened model must satisfy the original assertion",
-                        bench.name
-                    );
-                }
+        if let BatchVerdict::Sat(model) = &fresh_report.verdict {
+            for &a in script.assertions() {
+                prop_assert_eq!(
+                    evaluate(script.store(), a, model).expect("model is total"),
+                    Value::Bool(true),
+                    "{}: refined model must satisfy the original assertion",
+                    bench.name
+                );
             }
         }
     }

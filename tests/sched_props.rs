@@ -10,9 +10,9 @@ use std::time::Duration;
 use proptest::prelude::*;
 use staub::benchgen::{generate, Benchmark, SuiteKind};
 use staub::core::{
-    run_one_with, BatchConfig, BatchVerdict, LaneVerdict, RunOptions, Session, StaubConfig,
+    portfolio, run_one_with, BatchConfig, BatchVerdict, LaneVerdict, RunOptions, Staub, StaubConfig,
 };
-use staub::solver::{Budget, Solver, SolverProfile};
+use staub::solver::{Solver, SolverProfile};
 
 /// Large enough that the interval-propagation baseline cannot exhaust it
 /// in the time the bounded lane needs to win, so a baseline `Unknown` can
@@ -41,8 +41,9 @@ fn race_config() -> BatchConfig {
 }
 
 /// A planted-sat NIA instance that is deliberately asymmetric, certified
-/// by two deterministic step-budget screens: the bounded path verifies a
-/// model within [`EASY_SCREEN_STEPS`] (trivially sat for STAUB), while the
+/// by two deterministic step-budget screens: the bounded leg of
+/// `portfolio::measure` (no planning, grouping or cancellation) verifies
+/// a model within [`EASY_SCREEN_STEPS`] (trivially sat for STAUB), while the
 /// baseline is still searching after [`HARD_SCREEN_STEPS`] (interval
 /// search flounders — e.g. high-dimensional quadratic inequality systems
 /// whose planted components sit outside the engine's enlarging bounds).
@@ -52,11 +53,11 @@ fn race_config() -> BatchConfig {
 /// search walks a window of seeds to keep the property test from going
 /// vacuous.
 fn hard_easy_instance(seed0: u64) -> Option<Benchmark> {
-    let easy = StaubConfig {
+    let easy = Staub::new(StaubConfig {
         timeout: Duration::from_secs(120),
         steps: EASY_SCREEN_STEPS,
         ..Default::default()
-    };
+    });
     let hard = Solver::new(SolverProfile::Zed)
         .with_timeout(Duration::from_secs(120))
         .with_steps(HARD_SCREEN_STEPS);
@@ -65,10 +66,12 @@ fn hard_easy_instance(seed0: u64) -> Option<Benchmark> {
             .into_iter()
             .filter(|b| b.expected == Some(true))
             .find(|b| {
-                let budget = Budget::new(Duration::from_secs(120), EASY_SCREEN_STEPS);
-                Session::new(easy.clone())
-                    .try_bounded(&b.script, &budget)
-                    .is_some()
+                // `measure`'s own baseline leg runs the easy budget first:
+                // an instance it decides is not hard, so the long screen
+                // only runs on the survivors.
+                let screen = portfolio::measure(&easy, &b.script);
+                screen.verified
+                    && screen.baseline_result.is_unknown()
                     && hard.solve(&b.script).result.is_unknown()
             })
     })

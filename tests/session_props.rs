@@ -9,7 +9,7 @@
 //! under exact evaluation.
 
 use proptest::prelude::*;
-use staub::core::{Session, StaubConfig, StaubError, StaubOutcome};
+use staub::core::{run_one_with, BatchConfig, BatchVerdict, RunOptions, Session, StaubError};
 use staub::smtlib::{evaluate, Script, Value};
 use std::time::Duration;
 
@@ -74,8 +74,8 @@ fn step_strategy(pool_len: usize) -> impl Strategy<Value = Step> {
     ]
 }
 
-fn config() -> StaubConfig {
-    StaubConfig {
+fn config() -> BatchConfig {
+    BatchConfig {
         timeout: Duration::from_secs(5),
         steps: 1_000_000,
         ..Default::default()
@@ -135,21 +135,21 @@ fn run_tape(decls: &str, pool: &[&str], steps: &[Step]) -> Result<(), TestCaseEr
                 // clause database, none of which may flip the verdict.
                 let rewarm = session.check().expect("non-empty stack");
                 prop_assert_eq!(
-                    warm.verdict_name(),
-                    rewarm.verdict_name(),
+                    warm.verdict.name(),
+                    rewarm.verdict.name(),
                     "warm re-check diverges from itself after {} checks on:\n{}",
                     checks,
                     combined
                 );
-                let cold = Session::new(config()).run(&script).expect("non-empty");
+                let cold = run_one_with("cold", &script, &config(), &RunOptions::default());
                 prop_assert_eq!(
-                    warm.verdict_name(),
-                    cold.verdict_name(),
+                    warm.verdict.name(),
+                    cold.verdict.name(),
                     "warm/cold divergence after {} checks on:\n{}",
                     checks,
                     combined
                 );
-                if let StaubOutcome::Sat { model, .. } = &warm {
+                if let BatchVerdict::Sat(model) = &warm.verdict {
                     let lint = staub::lint::model_shape(&script, model);
                     prop_assert!(lint.is_clean(), "model shape findings:\n{lint}");
                     for &a in script.assertions() {
@@ -197,15 +197,15 @@ fn pop_then_reassert_matches_cold() {
     session.assert_text("(assert (>= v0 0))").unwrap();
     session.assert_text("(assert (<= v0 10))").unwrap();
     session.assert_text("(assert (= (* v0 v0) 49))").unwrap();
-    assert_eq!(session.check().unwrap().verdict_name(), "sat");
+    assert_eq!(session.check().unwrap().verdict.name(), "sat");
     session.push();
     session.assert_text("(assert (>= v0 8))").unwrap();
-    assert_eq!(session.check().unwrap().verdict_name(), "unsat");
+    assert_eq!(session.check().unwrap().verdict.name(), "unsat");
     assert!(session.pop());
     session.push();
     session.assert_text("(assert (<= v0 7))").unwrap();
-    match session.check().unwrap() {
-        StaubOutcome::Sat { model, .. } => {
+    match session.check().unwrap().verdict {
+        BatchVerdict::Sat(model) => {
             let script = session.script().expect("non-empty stack").clone();
             let v0 = script.store().symbol("v0").unwrap();
             let x = model.get(v0).unwrap().as_int().unwrap().to_i64().unwrap();
