@@ -8,11 +8,14 @@
 //! the fragment allows them, and STAUB at the base (inferred or fixed)
 //! width plus escalated 2×/4× widths or one refine lane, optionally under
 //! several solver profiles. A fixed pool of work-stealing worker threads
-//! executes the lanes. The first *sound* lane answer decides the
+//! executes the lanes; the calling thread is worker 0, so a one-thread
+//! pool spawns nothing. The first *sound* lane answer decides the
 //! constraint and cancels its sibling lanes through a shared
-//! [`CancelFlag`]; losing lanes observe the flag at their next step-budget
-//! check, so cancellation latency is bounded by one budget slice rather
-//! than by a wall-clock timeout.
+//! [`CancelFlag`]. Losing lanes observe the flag at their next budgeted
+//! step (every [`Budget::consume`] reads it) or their next bit-blasted
+//! term, skip solving when it is set after their transform, and drop a
+//! bounded `sat` that lands after it unverified, so a race costs about
+//! what its winning lane costs.
 //!
 //! Soundness mirrors the paper's §4.4 case analysis:
 //!
@@ -45,12 +48,12 @@
 //!
 //! Every lane runs under its own wall-clock deadline *and* deterministic
 //! step budget, with at most one bounded retry on step exhaustion, so a
-//! batch degrades gracefully instead of hanging. Workers are scoped
-//! threads: when [`run_batch_with`] returns, every lane has been joined —
-//! no thread outlives the batch.
+//! batch degrades gracefully instead of hanging. Workers other than the
+//! caller are scoped threads: when [`run_batch_with`] returns, every lane
+//! has been joined — no thread outlives the batch.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use staub_smtlib::{Model, Script, SymbolId, Value};
@@ -139,13 +142,17 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
+    /// `threads`, or the core count (read once per process) when `0`.
     fn worker_count(&self) -> usize {
+        static CORES: OnceLock<usize> = OnceLock::new();
         if self.threads > 0 {
             self.threads
         } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(2)
+            *CORES.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(2)
+            })
         }
     }
 }
@@ -312,7 +319,9 @@ pub struct LaneOutcome {
     /// Whether the bounded retry ran.
     pub retried: bool,
     /// Time from the sibling cancellation request to this lane actually
-    /// stopping (only set when the lane was cancelled).
+    /// stopping. Set for every lane the request found still running or
+    /// not yet started, whatever its verdict; `None` for the winner and
+    /// for lanes that finished before the request.
     pub cancel_latency: Option<Duration>,
     /// Transformation time (STAUB lanes; zero for baseline).
     pub t_trans: Duration,
@@ -783,6 +792,11 @@ pub(crate) fn bounded_attempt(
 /// persistent engine (variable map, gate cache, learned clauses, phases);
 /// otherwise a fresh solver is spawned exactly as the cold path does.
 ///
+/// Once `budget` is cancelled the attempt stops early: it does not solve
+/// when the flag is set after the transform, and it drops a `sat` that
+/// lands after the flag without lifting or verifying it. Either way the
+/// result is `Unknown`.
+///
 /// Debug builds re-certify the translation before solving and the bounded
 /// model before verifying (see [`debug_certify`]).
 pub(crate) fn bounded_attempt_with(
@@ -808,8 +822,19 @@ pub(crate) fn bounded_attempt_with(
         },
         Ok(tf) => {
             debug_certify("transform", || check::check_transformed(script, &tf));
+            let cancelled = SatResult::Unknown(UnknownReason::BudgetExhausted);
+            if budget.is_cancelled() {
+                return BoundedAttempt {
+                    result: Some(cancelled),
+                    model: None,
+                    t_trans,
+                    t_post: Duration::ZERO,
+                    t_check: Duration::ZERO,
+                    stats: SolverStats::default(),
+                };
+            }
             let t1 = Instant::now();
-            let (result, stats) = match engine {
+            let (mut result, stats) = match engine {
                 Some(e) if staub_solver::is_bit_blastable(&tf.script) => {
                     e.check(&tf.script, budget)
                 }
@@ -819,6 +844,9 @@ pub(crate) fn bounded_attempt_with(
                 }
             };
             let t_post = t1.elapsed();
+            if result.is_sat() && budget.is_cancelled() {
+                result = cancelled;
+            }
             if let SatResult::Sat(m) = &result {
                 debug_certify("solve", || check::check_model(&tf.script, m));
             }
@@ -900,7 +928,7 @@ fn run_dl_lane(
             elapsed: start.elapsed(),
             steps_used: 0,
             retried: false,
-            cancel_latency: None,
+            cancel_latency: cancel.latency(),
             t_trans,
             t_post: Duration::ZERO,
             t_check: Duration::ZERO,
@@ -983,9 +1011,7 @@ fn run_dl_lane(
 
     LaneOutcome {
         spec: spec.clone(),
-        cancel_latency: (verdict == LaneVerdict::Cancelled)
-            .then(|| cancel.latency())
-            .flatten(),
+        cancel_latency: cancel.latency(),
         verdict,
         model,
         elapsed: start.elapsed(),
@@ -997,6 +1023,18 @@ fn run_dl_lane(
         stats,
         rungs: Vec::new(),
     }
+}
+
+/// Runs one planned lane on the calling thread, outside the pool, under
+/// `cancel`: no engine is lent and no metrics are recorded. Setting
+/// `cancel` stops the lane exactly as a winning sibling lane would.
+pub fn run_single_lane(
+    script: &Script,
+    spec: &LaneSpec,
+    cancel: &CancelFlag,
+    config: &BatchConfig,
+) -> LaneOutcome {
+    run_lane(script, spec, cancel, config, None, &Metrics::disabled())
 }
 
 /// Executes one lane to completion (or cancellation). Bounded lanes solve
@@ -1038,9 +1076,7 @@ fn run_lane(
             let elapsed = start.elapsed();
             LaneOutcome {
                 spec: spec.clone(),
-                cancel_latency: (verdict == LaneVerdict::Cancelled)
-                    .then(|| cancel.latency())
-                    .flatten(),
+                cancel_latency: cancel.latency(),
                 verdict,
                 model,
                 elapsed,
@@ -1111,9 +1147,7 @@ fn run_lane(
             };
             LaneOutcome {
                 spec: spec.clone(),
-                cancel_latency: (verdict == LaneVerdict::Cancelled)
-                    .then(|| cancel.latency())
-                    .flatten(),
+                cancel_latency: cancel.latency(),
                 verdict,
                 model: attempt.model,
                 elapsed: start.elapsed(),
@@ -1313,6 +1347,13 @@ fn run_refine_lane(
             verdict: "unknown",
         };
         match result {
+            // A sat that lands after the flag is not worth verifying.
+            SatResult::Sat(_) | SatResult::Unknown(_) if cancel.is_cancelled() => {
+                rung.verdict = "cancelled";
+                verdict = LaneVerdict::Cancelled;
+                rungs.push(rung);
+                break;
+            }
             SatResult::Sat(bounded_model) => {
                 debug_certify("solve", || check::check_model(&tf.script, &bounded_model));
                 let t2 = Instant::now();
@@ -1378,13 +1419,8 @@ fn run_refine_lane(
                 }
             }
             SatResult::Unknown(_) => {
-                if cancel.is_cancelled() {
-                    rung.verdict = "cancelled";
-                    verdict = LaneVerdict::Cancelled;
-                } else {
-                    rung.verdict = "unknown";
-                    verdict = LaneVerdict::Unknown;
-                }
+                rung.verdict = "unknown";
+                verdict = LaneVerdict::Unknown;
                 rungs.push(rung);
                 break;
             }
@@ -1402,9 +1438,7 @@ fn run_refine_lane(
     }
     LaneOutcome {
         spec: spec.clone(),
-        cancel_latency: (verdict == LaneVerdict::Cancelled)
-            .then(|| cancel.latency())
-            .flatten(),
+        cancel_latency: cancel.latency(),
         verdict,
         model,
         elapsed: start.elapsed(),
@@ -1442,7 +1476,8 @@ struct CellState {
 
 /// Per-constraint shared state: lane plan, sibling cancel flag, results.
 struct Cell<'a> {
-    item: &'a BatchItem,
+    name: &'a str,
+    script: &'a Script,
     specs: Vec<LaneSpec>,
     /// Lane indices grouped into schedulable jobs (see [`Job`]).
     groups: Vec<Vec<usize>>,
@@ -1517,13 +1552,21 @@ pub fn run_batch_with(
     config: &BatchConfig,
     options: &RunOptions,
 ) -> Vec<BatchReport> {
-    run_batch_impl(items, config, options, None)
+    let items: Vec<(&str, &Script)> = items
+        .iter()
+        .map(|item| (item.name.as_str(), &item.script))
+        .collect();
+    run_batch_impl(&items, config, options, None)
 }
 
-/// The scheduler proper. `engine`, when supplied, is lent to the first
-/// item's bounded lanes of the first profile (see [`run_one_in`]).
+/// The scheduler proper, over borrowed `(name, script)` pairs. `engine`,
+/// when supplied, is lent to the first item's bounded lanes of the first
+/// profile (see [`run_one_in`]).
+///
+/// The calling thread is worker 0; only the other `workers − 1` are
+/// spawned, so a one-thread pool spawns nothing.
 fn run_batch_impl(
-    items: &[BatchItem],
+    items: &[(&str, &Script)],
     config: &BatchConfig,
     options: &RunOptions,
     mut engine: Option<&mut BvSession>,
@@ -1541,12 +1584,13 @@ fn run_batch_impl(
     metrics.incr("sched.constraints", items.len() as u64);
     let cells: Vec<Cell<'_>> = items
         .iter()
-        .map(|item| {
-            let specs = plan_lanes(&item.script, config);
+        .map(|&(name, script)| {
+            let specs = plan_lanes(script, config);
             let lanes = specs.len();
             let groups = plan_groups(&specs, options.warm);
             Cell {
-                item,
+                name,
+                script,
                 specs,
                 groups,
                 engine: Mutex::new(engine.take()),
@@ -1585,11 +1629,12 @@ fn run_batch_impl(
     }
 
     std::thread::scope(|scope| {
-        for wid in 0..workers {
+        for wid in 1..workers {
             let queues = &queues;
             let cells = &cells;
             scope.spawn(move || worker_loop(wid, queues, cells, config, metrics));
         }
+        worker_loop(0, &queues, &cells, config, metrics);
     });
 
     cells
@@ -1609,7 +1654,7 @@ fn run_batch_impl(
                 },
                 None => BatchVerdict::Unknown,
             };
-            let fragment = absint::certify(&cell.item.script).fragment.name();
+            let fragment = absint::certify(cell.script).fragment.name();
             let unknown_reason = match verdict {
                 BatchVerdict::Unknown => {
                     // Was the constraint within a complete lane's reach? If
@@ -1631,7 +1676,7 @@ fn run_batch_impl(
                 _ => None,
             };
             BatchReport {
-                name: cell.item.name.clone(),
+                name: cell.name.to_string(),
                 verdict,
                 winner: state.winner,
                 lanes,
@@ -1669,11 +1714,7 @@ pub(crate) fn run_one_in(
     options: &RunOptions,
     engine: Option<&mut BvSession>,
 ) -> BatchReport {
-    let items = [BatchItem {
-        name: name.to_string(),
-        script: script.clone(),
-    }];
-    run_batch_impl(&items, config, options, engine)
+    run_batch_impl(&[(name, script)], config, options, engine)
         .pop()
         .expect("one item in, one report out")
 }
@@ -1745,7 +1786,7 @@ fn execute_job(job: Job, cells: &[Cell<'_>], config: &BatchConfig, metrics: &Met
             metrics.incr("sched.lane_started", 1);
             metrics.incr("sched.warm_rungs", 1);
             run_lane(
-                &cell.item.script,
+                cell.script,
                 spec,
                 &cell.cancel,
                 config,
@@ -1775,14 +1816,7 @@ fn run_or_skip(
         LaneOutcome::skipped(spec, &cell.cancel)
     } else {
         metrics.incr("sched.lane_started", 1);
-        run_lane(
-            &cell.item.script,
-            spec,
-            &cell.cancel,
-            config,
-            engine,
-            metrics,
-        )
+        run_lane(cell.script, spec, &cell.cancel, config, engine, metrics)
     }
 }
 
@@ -1801,9 +1835,9 @@ fn submit(
         metrics.incr("sched.lane_steps", outcome.steps_used);
         if outcome.verdict == LaneVerdict::Cancelled {
             metrics.incr("sched.lane_cancelled", 1);
-            if let Some(latency) = outcome.cancel_latency {
-                metrics.observe("sched.cancel_latency", latency);
-            }
+        }
+        if let Some(latency) = outcome.cancel_latency {
+            metrics.observe("sched.cancel_latency", latency);
         }
         metrics.record_solver(&format!("solver.{}", spec.label()), &outcome.stats);
     }

@@ -57,7 +57,15 @@ impl CancelFlag {
     }
 }
 
+/// How many [`Budget::consume`] calls pass between two reads of the wall
+/// clock. Counting calls, not steps, means a budget of any size sees its
+/// deadline after at most this many calls.
+const CLOCK_EVERY: u32 = 256;
+
 /// A combined wall-clock and step budget.
+///
+/// The cancellation flag is checked on every [`Budget::consume`] call (one
+/// atomic load); the clock is read every 256 calls.
 ///
 /// # Examples
 ///
@@ -74,6 +82,8 @@ pub struct Budget {
     duration: Duration,
     steps_initial: u64,
     steps_left: std::cell::Cell<u64>,
+    /// `consume` calls since the clock was last read.
+    since_clock: std::cell::Cell<u32>,
     cancel: Option<CancelFlag>,
 }
 
@@ -85,6 +95,7 @@ impl Budget {
             duration,
             steps_initial: steps,
             steps_left: std::cell::Cell::new(steps),
+            since_clock: std::cell::Cell::new(0),
             cancel: None,
         }
     }
@@ -124,21 +135,22 @@ impl Budget {
     }
 
     /// Consumes `n` steps and reports whether the budget is now exhausted.
-    /// The wall clock is consulted only every few thousand steps to keep the
-    /// check cheap in inner loops.
+    /// Cancellation is seen on the call after it is requested; the wall
+    /// clock is consulted only every 256 calls to keep the check cheap in
+    /// inner loops.
     pub fn consume(&self, n: u64) -> bool {
-        let left = self.steps_left.get();
-        let new_left = left.saturating_sub(n);
+        let new_left = self.steps_left.get().saturating_sub(n);
         self.steps_left.set(new_left);
-        if new_left == 0 {
+        if new_left == 0 || self.cancelled() {
             return true;
         }
-        // Check the clock (and cancellation) at step-count boundaries to
-        // amortize syscall cost.
-        if (left / 4096) != (new_left / 4096) {
-            return self.cancelled() || Instant::now() >= self.deadline;
+        let calls = self.since_clock.get() + 1;
+        if calls < CLOCK_EVERY {
+            self.since_clock.set(calls);
+            return false;
         }
-        false
+        self.since_clock.set(0);
+        Instant::now() >= self.deadline
     }
 
     /// Returns `true` if any limit has been reached or the budget was
@@ -166,6 +178,7 @@ impl Budget {
             duration: self.duration,
             steps_initial: steps,
             steps_left: std::cell::Cell::new(steps),
+            since_clock: std::cell::Cell::new(0),
             cancel: self.cancel.clone(),
         }
     }
@@ -219,9 +232,23 @@ mod tests {
         assert!(!b.exhausted());
         flag.cancel();
         assert!(b.exhausted());
-        // consume() notices at its next clock check boundary.
+        // consume() notices on its very next call.
         let b2 = Budget::with_cancel(Duration::from_secs(3600), 10_000, flag);
-        assert!(b2.consume(5000), "crossing a 4096 boundary sees the flag");
+        assert!(b2.consume(1), "the first step after cancel sees the flag");
+        assert_eq!(b2.steps_used(), 1);
+    }
+
+    #[test]
+    fn small_budget_sees_a_past_deadline() {
+        let b = Budget::new(Duration::ZERO, 3_000);
+        let calls = (1..=3_000u64)
+            .find(|_| b.consume(1))
+            .expect("the deadline is seen before the steps run out");
+        assert!(
+            calls <= u64::from(CLOCK_EVERY),
+            "deadline seen only after {calls} steps"
+        );
+        assert!(b.steps_left() > 0);
     }
 
     #[test]

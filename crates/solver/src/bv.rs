@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use staub_numeric::{BigInt, BitVecValue};
 use staub_smtlib::{Model, Op, Script, Sort, SymbolId, TermId, TermStore, Value};
 
-use crate::budget::Budget;
+use crate::budget::{Budget, CancelFlag};
 use crate::result::{SatResult, SolverStats, UnknownReason};
 use crate::sat::{Lit, SatConfig, SatSolver, SatSolverResult};
 
@@ -22,14 +22,25 @@ use crate::sat::{Lit, SatConfig, SatSolver, SatSolverResult};
 ///
 /// Panics if the script contains non-bitvector, non-boolean sorts; callers
 /// dispatch on sorts first (see [`crate::Solver`]).
+///
+/// Cancelling `budget` during encoding aborts it: the call returns
+/// `Unknown` without searching.
 pub fn solve_bv(script: &Script, config: SatConfig, budget: &Budget) -> (SatResult, SolverStats) {
     let mut core = BlastCore::new(config, false);
-    let mut blaster = Blaster::attach(script.store(), &mut core);
+    let mut blaster = Blaster::attach(script.store(), &mut core, budget.cancel_flag());
     for &assertion in script.assertions() {
         let lit = blaster.encode_bool(assertion);
+        if blaster.aborted {
+            break;
+        }
         blaster.core.sat.add_clause(&[lit]);
     }
-    let result = match blaster.core.sat.solve(budget) {
+    let outcome = if blaster.aborted {
+        SatSolverResult::Unknown
+    } else {
+        blaster.core.sat.solve(budget)
+    };
+    let result = match outcome {
         SatSolverResult::Sat => SatResult::Sat(blaster.extract_model(script.store())),
         SatSolverResult::Unsat => SatResult::Unsat,
         SatSolverResult::Unknown => SatResult::Unknown(UnknownReason::BudgetExhausted),
@@ -92,6 +103,12 @@ fn sort3(a: Lit, b: Lit, c: Lit) -> (Lit, Lit, Lit) {
 /// core as assumptions, never asserted as unit clauses, which is what
 /// makes the learned-clause database valid across checks (see
 /// [`SatSolver::solve_with_assumptions`]).
+///
+/// Soundness of aborting: a cancelled encoding stops only between terms
+/// (see [`Blaster::encode_bool`]), never inside a gate, so every gate in
+/// the cache is still a complete definition of its output over its cached
+/// inputs. The half-encoded terms live only in the per-attach memos, which
+/// are dropped with the [`Blaster`].
 pub(crate) struct BlastCore {
     pub(crate) sat: SatSolver,
     /// A literal constrained to be true (constants are this or its negation).
@@ -105,6 +122,11 @@ pub(crate) struct BlastCore {
     named_bools: HashMap<String, Lit>,
     /// Gate-cache hits observed (session diagnostics).
     cache_hits: u64,
+    /// Test hook: abort the next encoding after this many uncached terms,
+    /// as if the cancel flag were set there (`0`: set before the first).
+    /// Reset to `None` when it fires.
+    #[cfg(test)]
+    abort_after: Option<u64>,
 }
 
 impl BlastCore {
@@ -121,7 +143,26 @@ impl BlastCore {
             named_bits: HashMap::new(),
             named_bools: HashMap::new(),
             cache_hits: 0,
+            #[cfg(test)]
+            abort_after: None,
         }
+    }
+
+    /// Counts down the test hook's uncached terms; `true` once it is due.
+    /// Always `false` outside unit tests.
+    fn abort_hook_due(&mut self) -> bool {
+        #[cfg(test)]
+        {
+            match &mut self.abort_after {
+                Some(0) => {
+                    self.abort_after = None;
+                    return true;
+                }
+                Some(n) => *n -= 1,
+                None => {}
+            }
+        }
+        false
     }
 
     /// The low `width` bits of the named bitvector variable, allocating
@@ -157,6 +198,11 @@ impl BlastCore {
 pub(crate) struct Blaster<'a> {
     store: &'a TermStore,
     pub(crate) core: &'a mut BlastCore,
+    /// Polled at every uncached term; once seen set, encoding aborts.
+    cancel: Option<&'a CancelFlag>,
+    /// Set once encoding aborted: every later uncached term encodes as
+    /// constant false without recursing, and the caller must not solve.
+    pub(crate) aborted: bool,
     bool_memo: HashMap<TermId, Lit>,
     bv_memo: HashMap<TermId, Bits>,
     var_bits: HashMap<SymbolId, Bits>,
@@ -172,11 +218,18 @@ pub(crate) struct Blaster<'a> {
 
 impl<'a> Blaster<'a> {
     /// Attaches a per-script blaster (term-id memo tables are scoped to
-    /// `store`) to persistent core state.
-    pub(crate) fn attach(store: &'a TermStore, core: &'a mut BlastCore) -> Blaster<'a> {
+    /// `store`) to persistent core state. Encoding aborts once `cancel` is
+    /// set.
+    pub(crate) fn attach(
+        store: &'a TermStore,
+        core: &'a mut BlastCore,
+        cancel: Option<&'a CancelFlag>,
+    ) -> Blaster<'a> {
         Blaster {
             store,
             core,
+            cancel,
+            aborted: false,
             bool_memo: HashMap::new(),
             bv_memo: HashMap::new(),
             var_bits: HashMap::new(),
@@ -188,6 +241,15 @@ impl<'a> Blaster<'a> {
 
     fn fls(&self) -> Lit {
         self.core.tru.negated()
+    }
+
+    /// Whether encoding has aborted, polling the cancel flag if not yet.
+    fn aborting(&mut self) -> bool {
+        if !self.aborted {
+            self.aborted =
+                self.cancel.is_some_and(CancelFlag::is_cancelled) || self.core.abort_hook_due();
+        }
+        self.aborted
     }
 
     fn fresh(&mut self) -> Lit {
@@ -614,9 +676,14 @@ impl<'a> Blaster<'a> {
 
     // --- term encoding -------------------------------------------------------
 
+    /// The literal of a boolean term. Once encoding has aborted, an
+    /// uncached term is constant false and nothing below it is visited.
     pub(crate) fn encode_bool(&mut self, id: TermId) -> Lit {
         if let Some(&lit) = self.bool_memo.get(&id) {
             return lit;
+        }
+        if self.aborting() {
+            return self.fls();
         }
         let term = self.store.term(id).clone();
         let lit = self.encode_bool_uncached(&term);
@@ -766,9 +833,17 @@ impl<'a> Blaster<'a> {
         }
     }
 
+    /// The bits of a bitvector term; all constant false for an uncached
+    /// term once encoding has aborted, like [`Blaster::encode_bool`].
     pub(crate) fn encode_bv(&mut self, id: TermId) -> Bits {
         if let Some(bits) = self.bv_memo.get(&id) {
             return bits.clone();
+        }
+        if self.aborting() {
+            let Sort::BitVec(w) = self.store.sort(id) else {
+                panic!("expected bitvector sort, got {}", self.store.sort(id));
+            };
+            return vec![self.fls(); w as usize];
         }
         let term = self.store.term(id).clone();
         let bits = self.encode_bv_uncached(&term);
@@ -958,7 +1033,8 @@ impl<'a> Blaster<'a> {
 ///
 /// Unlike [`solve_bv`], a check that returns `Unsat` means *unsatisfiable
 /// under this script's assertions* — the session stays usable for
-/// different (e.g. wider) scripts afterwards.
+/// different (e.g. wider) scripts afterwards. So does a check whose
+/// encoding was aborted by cancellation (see [`BvSession::check`]).
 pub struct BvSession {
     core: BlastCore,
     checks: u64,
@@ -982,6 +1058,10 @@ impl BvSession {
     /// are the delta attributable to this check; `clauses` is the total
     /// database size after it.
     ///
+    /// Cancelling `budget` while the script is being encoded aborts the
+    /// encoding: the check returns `Unknown` without searching, and the
+    /// session stays usable.
+    ///
     /// # Panics
     ///
     /// Panics if the script contains non-bitvector, non-boolean sorts,
@@ -994,14 +1074,19 @@ impl BvSession {
             self.core.sat.restarts,
         );
         let (s0, st0) = (self.core.sat.subsumed, self.core.sat.strengthened);
-        let mut blaster = Blaster::attach(script.store(), &mut self.core);
+        let mut blaster = Blaster::attach(script.store(), &mut self.core, budget.cancel_flag());
         let roots: Vec<Lit> = script
             .assertions()
             .iter()
             .map(|&a| blaster.encode_bool(a))
             .collect();
         self.last_core.clear();
-        let result = match blaster.core.sat.solve_with_assumptions(&roots, budget) {
+        let outcome = if blaster.aborted {
+            SatSolverResult::Unknown
+        } else {
+            blaster.core.sat.solve_with_assumptions(&roots, budget)
+        };
+        let result = match outcome {
             SatSolverResult::Sat => SatResult::Sat(blaster.extract_model(script.store())),
             SatSolverResult::Unsat => {
                 // Map the assumption core back to assertion indices. A
@@ -1408,6 +1493,88 @@ mod tests {
         // the low 8 bits are sliced out of the 16-bit encoding.
         let (r3, _) = session.check(&narrow, &Budget::unlimited());
         assert!(r3.is_sat());
+    }
+
+    /// Templates over shared `x`/`y` with a constant `{c}`: products,
+    /// sums, guards and divisions whose gates the sibling templates re-hit.
+    const ABORT_TEMPLATES: [&str; 4] = [
+        "(assert (= (bvmul x y) (_ bv{c} 8))) (assert (not (bvsmulo x y))) (assert (bvult x y))",
+        "(assert (= (bvadd (bvmul x x) y) (_ bv{c} 8))) \
+         (assert (not (bvsaddo (bvmul x x) y))) (assert (not (bvsmulo x x)))",
+        "(assert (= (bvadd x x) (_ bv{c} 8))) (assert (bvslt y x))",
+        "(assert (bvult (_ bv0 8) x)) (assert (= (bvudiv y x) (_ bv{c} 8))) \
+         (assert (= (bvurem y x) (_ bv1 8)))",
+    ];
+
+    fn abort_script(template: usize, c: u8) -> Script {
+        let body = ABORT_TEMPLATES[template].replace("{c}", &c.to_string());
+        Script::parse(&format!(
+            "(declare-fun x () (_ BitVec 8))(declare-fun y () (_ BitVec 8)){body}"
+        ))
+        .unwrap()
+    }
+
+    fn verdict(r: &SatResult) -> &'static str {
+        match r {
+            SatResult::Sat(_) => "sat",
+            SatResult::Unsat => "unsat",
+            SatResult::Unknown(_) => "unknown",
+        }
+    }
+
+    #[test]
+    fn cancelled_budget_skips_the_search() {
+        let script = abort_script(0, 12);
+        let flag = CancelFlag::new();
+        flag.cancel();
+        let budget = Budget::with_cancel(std::time::Duration::from_secs(60), 1_000_000, flag);
+        let (r, stats) = solve_bv(&script, SatConfig::default(), &budget);
+        assert!(r.is_unknown());
+        assert_eq!((stats.decisions, stats.conflicts), (0, 0));
+        let mut session = BvSession::new(SatConfig::default());
+        let (r, stats) = session.check(&script, &budget);
+        assert!(r.is_unknown());
+        assert_eq!((stats.decisions, stats.conflicts), (0, 0));
+        assert_eq!(budget.steps_used(), 0);
+        let (r, _) = session.check(&script, &Budget::unlimited());
+        assert!(r.is_sat(), "the session answers once the flag is gone");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// A check whose encoding aborts after `n` uncached terms leaves a
+        /// session whose next check answers exactly like a fresh session.
+        #[test]
+        fn aborted_check_leaves_session_usable(
+            first in 0..ABORT_TEMPLATES.len(),
+            second in 0..ABORT_TEMPLATES.len(),
+            c1 in 0u8..40,
+            c2 in 0u8..40,
+            n in 0u64..20,
+        ) {
+            let aborted = abort_script(first, c1);
+            let script = abort_script(second, c2);
+            let mut session = BvSession::new(SatConfig::default());
+            session.core.abort_after = Some(n);
+            let (r, stats) = session.check(&aborted, &Budget::unlimited());
+            let fired = session.core.abort_after.take().is_none();
+            if fired {
+                proptest::prop_assert!(r.is_unknown());
+                proptest::prop_assert_eq!(stats.decisions + stats.conflicts, 0);
+            } else {
+                proptest::prop_assert!(!r.is_unknown(), "n = {} outran the encoding", n);
+            }
+            let (warm, _) = session.check(&script, &Budget::unlimited());
+            let (fresh, _) =
+                BvSession::new(SatConfig::default()).check(&script, &Budget::unlimited());
+            proptest::prop_assert_eq!(verdict(&warm), verdict(&fresh));
+            if let SatResult::Sat(model) = &warm {
+                for &a in script.assertions() {
+                    let v = evaluate(script.store(), a, model).unwrap();
+                    proptest::prop_assert_eq!(v, Value::Bool(true));
+                }
+            }
+        }
     }
 
     #[test]

@@ -266,7 +266,7 @@ BATCH OPTIONS:
 
 /// `staub batch`: the multi-lane scheduler over a corpus of files.
 fn batch_main(args: Vec<String>) -> ExitCode {
-    use staub::core::{run_batch_with, BatchConfig, BatchItem, Metrics, RunOptions};
+    use staub::core::{run_batch_with, BatchConfig, BatchItem, LaneVerdict, Metrics, RunOptions};
     use std::sync::Arc;
 
     let mut config = BatchConfig::default();
@@ -413,7 +413,7 @@ fn batch_main(args: Vec<String>) -> ExitCode {
         cancelled += report
             .lanes
             .iter()
-            .filter(|l| l.cancel_latency.is_some())
+            .filter(|l| l.verdict == LaneVerdict::Cancelled)
             .count() as u32;
     }
     if let Some(path) = out_path {

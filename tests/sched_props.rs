@@ -9,10 +9,12 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use staub::benchgen::{generate, Benchmark, SuiteKind};
+use staub::core::sched::{plan_lanes, run_single_lane};
 use staub::core::{
     portfolio, run_one_with, BatchConfig, BatchVerdict, LaneVerdict, RunOptions, Staub, StaubConfig,
 };
-use staub::solver::{Solver, SolverProfile};
+use staub::smtlib::Script;
+use staub::solver::{CancelFlag, Solver, SolverProfile};
 
 /// Large enough that the interval-propagation baseline cannot exhaust it
 /// in the time the bounded lane needs to win, so a baseline `Unknown` can
@@ -143,6 +145,50 @@ fn losers_are_cancelled_and_no_lane_outlives_the_batch() {
                 assert!(lane.cancel_latency.is_some());
                 assert!(lane.steps_used < HARD_STEPS);
             }
+        }
+    }
+}
+
+/// A bounded lane that finds its flag already set stops before solving:
+/// it reports `cancelled` with no steps, no solve and no verification,
+/// while the same lane under a fresh flag answers.
+#[test]
+fn bounded_lane_with_flag_already_set_does_no_work() {
+    // Pure LIA, so the plan has base, escalated and complete lanes.
+    let script = Script::parse(
+        "(declare-fun x () Int)(declare-fun y () Int)
+         (assert (= (+ (* 3 x) y) 50))(assert (>= x 7))(assert (>= y 0))",
+    )
+    .expect("parses");
+    for refine in [false, true] {
+        let config = BatchConfig {
+            refine,
+            ..race_config()
+        };
+        let bounded: Vec<_> = plan_lanes(&script, &config)
+            .into_iter()
+            .filter(staub::core::LaneSpec::is_staub)
+            .collect();
+        assert!(bounded.len() >= 2, "bounded lanes planned: {bounded:?}");
+        for spec in &bounded {
+            let set = CancelFlag::new();
+            set.cancel();
+            let lane = run_single_lane(&script, spec, &set, &config);
+            assert_eq!(lane.verdict, LaneVerdict::Cancelled, "{}", spec.label());
+            assert_eq!(lane.steps_used, 0, "{}", spec.label());
+            assert!(lane.model.is_none());
+            assert_eq!(lane.t_check, Duration::ZERO, "{} verified", spec.label());
+            assert_eq!(lane.stats.decisions + lane.stats.propagations, 0);
+            assert!(lane.cancel_latency.is_some());
+
+            let live = run_single_lane(&script, spec, &CancelFlag::new(), &config);
+            assert!(
+                live.verdict.is_sound(),
+                "{}: {:?}",
+                spec.label(),
+                live.verdict
+            );
+            assert!(live.cancel_latency.is_none());
         }
     }
 }
