@@ -96,7 +96,6 @@ fn config(refine: bool) -> BatchConfig {
         escalations: if refine { Vec::new() } else { vec![2, 4] },
         include_baseline: false,
         cancel_losers: true,
-        retry: false,
         refine,
         ..BatchConfig::default()
     }

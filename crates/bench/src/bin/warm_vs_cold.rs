@@ -71,7 +71,6 @@ fn config() -> BatchConfig {
         escalations: vec![2, 4],
         include_baseline: false,
         cancel_losers: true,
-        retry: false,
         ..BatchConfig::default()
     }
 }

@@ -36,7 +36,7 @@ use staub_solver::{SatResult, Solver, SolverProfile};
 
 /// Ceiling for the deterministic step budget: far beyond any budget a real
 /// run exhausts, but small enough that downstream scaling (lane escalation
-/// factors, retry doublings) cannot overflow a `u64`.
+/// factors) cannot overflow a `u64`.
 pub const MAX_STEPS: u64 = 1 << 40;
 
 /// Deterministic step budget for a wall-clock timeout, ~4k steps/ms.
@@ -133,7 +133,6 @@ impl EvalConfig {
             escalations: Vec::new(),
             profiles: vec![profile],
             cancel_losers: false,
-            retry: false,
             ..BatchConfig::default()
         }
     }

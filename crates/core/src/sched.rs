@@ -47,10 +47,10 @@
 //! weaker than the blind ladder; the depth cap bounds it.
 //!
 //! Every lane runs under its own wall-clock deadline *and* deterministic
-//! step budget, with at most one bounded retry on step exhaustion, so a
-//! batch degrades gracefully instead of hanging. Workers other than the
-//! caller are scoped threads: when [`run_batch_with`] returns, every lane
-//! has been joined — no thread outlives the batch.
+//! step budget, so a batch degrades gracefully instead of hanging.
+//! Workers other than the caller are scoped threads: when
+//! [`run_batch_with`] returns, every lane has been joined — no thread
+//! outlives the batch.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -100,10 +100,6 @@ pub struct BatchConfig {
     /// measurement runs that need every lane's full timing (the bench
     /// harness does this so Table 2/3 metrics stay undistorted).
     pub cancel_losers: bool,
-    /// One bounded retry with a fresh step budget when a lane exhausts its
-    /// steps without an answer (graceful degradation, not a hang: the
-    /// retry budget is the same size and is itself cancellable).
-    pub retry: bool,
     /// Target-sort limits for the STAUB lanes.
     pub limits: SortLimits,
     /// Replace the blind escalation lanes with one counterexample-guided
@@ -132,7 +128,6 @@ impl Default for BatchConfig {
             profiles: vec![SolverProfile::Zed],
             include_baseline: true,
             cancel_losers: true,
-            retry: false,
             limits: SortLimits::default(),
             refine: false,
             refine_depth: 5,
@@ -314,10 +309,8 @@ pub struct LaneOutcome {
     pub model: Option<Model>,
     /// Wall-clock time the lane spent.
     pub elapsed: Duration,
-    /// Deterministic steps consumed (across the retry, if any).
+    /// Deterministic steps consumed.
     pub steps_used: u64,
-    /// Whether the bounded retry ran.
-    pub retried: bool,
     /// Time from the sibling cancellation request to this lane actually
     /// stopping. Set for every lane the request found still running or
     /// not yet started, whatever its verdict; `None` for the winner and
@@ -330,7 +323,7 @@ pub struct LaneOutcome {
     /// Verification time (STAUB lanes; zero for baseline).
     pub t_check: Duration,
     /// Solver-internal counters accumulated across the lane's attempts
-    /// (both the initial run and the retry, if any).
+    /// (every rung, for a refine lane).
     pub stats: SolverStats,
     /// Rung-by-rung provenance of a [`LaneKind::Refine`] lane (empty for
     /// every other lane kind).
@@ -345,7 +338,6 @@ impl LaneOutcome {
             model: None,
             elapsed: Duration::ZERO,
             steps_used: 0,
-            retried: false,
             cancel_latency: cancel.latency(),
             t_trans: Duration::ZERO,
             t_post: Duration::ZERO,
@@ -599,10 +591,9 @@ impl BatchReport {
             out.push(',');
             push_json_str(&mut out, "verdict", lane.verdict.name());
             out.push_str(&format!(
-                ",\"ms\":{:.3},\"steps\":{},\"retried\":{},\"cancel_latency_ms\":{}",
+                ",\"ms\":{:.3},\"steps\":{},\"cancel_latency_ms\":{}",
                 lane.elapsed.as_secs_f64() * 1e3,
                 lane.steps_used,
-                lane.retried,
                 lane.cancel_latency.map_or_else(
                     || "null".to_string(),
                     |d| format!("{:.3}", d.as_secs_f64() * 1e3)
@@ -881,10 +872,6 @@ fn debug_certify(stage: &str, lint: impl FnOnce() -> staub_lint::LintReport) {
     }
 }
 
-fn out_of_steps(result: &SatResult, budget: &Budget) -> bool {
-    matches!(result, SatResult::Unknown(UnknownReason::BudgetExhausted)) && !budget.is_cancelled()
-}
-
 /// Decides whether a complete lane's bounded `unsat` at `used_width` may
 /// be promoted to a trusted `unsat`: the certificate is re-derived from
 /// the original script and must pass every `L4xx` lint — fragment class,
@@ -927,7 +914,6 @@ fn run_dl_lane(
             model: None,
             elapsed: start.elapsed(),
             steps_used: 0,
-            retried: false,
             cancel_latency: cancel.latency(),
             t_trans,
             t_post: Duration::ZERO,
@@ -1016,7 +1002,6 @@ fn run_dl_lane(
         model,
         elapsed: start.elapsed(),
         steps_used: budget.steps_used(),
-        retried: false,
         t_trans,
         t_post,
         t_check,
@@ -1046,27 +1031,14 @@ fn run_lane(
     spec: &LaneSpec,
     cancel: &CancelFlag,
     config: &BatchConfig,
-    mut engine: Option<&mut BvSession>,
+    engine: Option<&mut BvSession>,
     metrics: &Metrics,
 ) -> LaneOutcome {
     let start = Instant::now();
-    let mut retried = false;
-    let mut steps_used = 0u64;
-    let mut stats = SolverStats::default();
     match &spec.kind {
         LaneKind::Baseline => {
-            let solver = Solver::new(spec.profile);
-            let mut budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-            let mut outcome = solver.solve_with_budget(script, &budget);
-            steps_used += budget.steps_used();
-            stats.merge(&outcome.stats);
-            if config.retry && out_of_steps(&outcome.result, &budget) {
-                retried = true;
-                budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-                outcome = solver.solve_with_budget(script, &budget);
-                steps_used += budget.steps_used();
-                stats.merge(&outcome.stats);
-            }
+            let budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
+            let outcome = Solver::new(spec.profile).solve_with_budget(script, &budget);
             let (verdict, model) = match outcome.result {
                 SatResult::Sat(m) => (LaneVerdict::Sat, Some(m)),
                 SatResult::Unsat => (LaneVerdict::Unsat, None),
@@ -1080,12 +1052,11 @@ fn run_lane(
                 verdict,
                 model,
                 elapsed,
-                steps_used,
-                retried,
+                steps_used: budget.steps_used(),
                 t_trans: Duration::ZERO,
                 t_post: elapsed,
                 t_check: Duration::ZERO,
-                stats,
+                stats: outcome.stats,
                 rungs: Vec::new(),
             }
         }
@@ -1101,35 +1072,9 @@ fn run_lane(
                     unreachable!("handled above")
                 }
             };
-            let mut budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-            let mut attempt = bounded_attempt_with(
-                script,
-                width,
-                &config.limits,
-                spec.profile,
-                &budget,
-                engine.as_deref_mut(),
-            );
-            steps_used += budget.steps_used();
-            stats.merge(&attempt.stats);
-            let needs_retry = attempt
-                .result
-                .as_ref()
-                .is_some_and(|r| out_of_steps(r, &budget));
-            if config.retry && needs_retry {
-                retried = true;
-                budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
-                attempt = bounded_attempt_with(
-                    script,
-                    width,
-                    &config.limits,
-                    spec.profile,
-                    &budget,
-                    engine,
-                );
-                steps_used += budget.steps_used();
-                stats.merge(&attempt.stats);
-            }
+            let budget = Budget::with_cancel(config.timeout, config.steps, cancel.clone());
+            let attempt =
+                bounded_attempt_with(script, width, &config.limits, spec.profile, &budget, engine);
             let verdict = match (&attempt.result, &attempt.model) {
                 (_, Some(_)) => LaneVerdict::SatVerified,
                 (None, _) => LaneVerdict::NotApplicable,
@@ -1151,12 +1096,11 @@ fn run_lane(
                 verdict,
                 model: attempt.model,
                 elapsed: start.elapsed(),
-                steps_used,
-                retried,
+                steps_used: budget.steps_used(),
                 t_trans: attempt.t_trans,
                 t_post: attempt.t_post,
                 t_check: attempt.t_check,
-                stats,
+                stats: attempt.stats,
                 rungs: Vec::new(),
             }
         }
@@ -1443,7 +1387,6 @@ fn run_refine_lane(
         model,
         elapsed: start.elapsed(),
         steps_used,
-        retried: false,
         t_trans,
         t_post,
         t_check,

@@ -227,8 +227,8 @@ impl EndpointStream {
         }
     }
 
-    /// Sets the per-read timeout (the idle-poll granularity of the
-    /// legacy thread-per-connection mode).
+    /// Sets the per-read timeout of a blocking stream (the router bounds
+    /// a backend's reply with it).
     ///
     /// # Errors
     ///

@@ -22,10 +22,12 @@
 //!   CRC-framed append-only log, truncated-tail-tolerant warm start).
 //! * [`endpoint`] — the transport-agnostic `tcp:`/`unix:` address type
 //!   shared by server, router, and clients.
-//! * [`server`] — accept loops, admission control, the solve path, and
-//!   graceful drain.
-//! * [`reactor`] — the nonblocking epoll reactor (Linux) that serves many
-//!   idle connections from a fixed worker pool.
+//! * [`server`] — the `staub serve` daemon: admission control, the solve
+//!   path, and graceful drain.
+//! * [`reactor`] — the nonblocking epoll reactor, the only connection
+//!   plane of both daemons: many idle connections, one fixed worker pool.
+//!   It needs Linux, so [`Server::launch`] and [`Router::launch`] fail
+//!   with `Unsupported` elsewhere; the clients work anywhere.
 //! * [`route`] — the `staub route` front node: consistent-hash sharding
 //!   of canonical fingerprints across backend servers.
 //! * [`client`] — `staub client` / `staub loadgen` drivers with

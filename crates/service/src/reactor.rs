@@ -1,13 +1,13 @@
-//! A nonblocking readiness reactor over `epoll(7)` (Linux).
+//! A nonblocking readiness reactor over `epoll(7)`: the one way `staub
+//! serve` and `staub route` serve connections.
 //!
-//! The thread-per-connection server costs one OS thread per *idle*
-//! keep-alive connection — fatal at the ROADMAP's "millions of users"
-//! scale. This module serves any number of connections from **one**
-//! reactor thread plus a fixed pool of worker threads:
+//! A thread per connection would cost one OS thread per *idle*
+//! keep-alive connection. This module serves any number of connections
+//! from **one** event-loop thread plus a fixed pool of worker threads:
 //!
 //! ```text
-//! reactor thread            worker pool (fixed size)
-//! ─────────────            ────────────────────────
+//! event-loop thread         worker pool (fixed size)
+//! ─────────────────         ────────────────────────
 //! epoll_wait ─┬─ accept      recv Job ─ Service::handle ─ send Done
 //!             ├─ read ──────────▲                            │
 //!             ├─ write ◀── wake ┴────────────────────────────┘
@@ -17,10 +17,10 @@
 //! Per-connection state is a small slab entry (a [`LineReader`], a write
 //! buffer, and the caller's session state) — an idle connection costs no
 //! thread and no syscalls. Reads drain until `WouldBlock` through the
-//! same [`LineReader`] framing as the threaded path; one request per
-//! connection is in flight at a time (the protocol is
-//! request/response-ordered), with the connection's session state moved
-//! into the worker job and back, so no locks guard it.
+//! [`LineReader`] framing; one request per connection is in flight at a
+//! time (the protocol is request/response-ordered), with the
+//! connection's session state moved into the worker job and back, so no
+//! locks guard it.
 //!
 //! Readiness is managed mio-style with explicit *interest sets* re-armed
 //! on every state transition: a connection whose request is at a worker
@@ -28,6 +28,12 @@
 //! bytes), and write interest exists only while the write buffer is
 //! nonempty. This one-shot-style re-arming gives the edge-driven
 //! behaviour without edge-triggered mode's lost-wakeup hazard.
+//!
+//! Start-up is split so that every failure reaches the caller:
+//! [`Reactor::new`] creates the epoll instance before the caller binds
+//! anything, and [`Reactor::start`] registers the listeners and the
+//! worker waker and spawns the worker pool on the calling thread, so only
+//! the event loop itself runs on the thread it returns.
 //!
 //! Drain integrates with [`crate::signal`] through
 //! [`Service::shutting_down`]: `epoll_wait` ticks at a bounded interval,
@@ -37,13 +43,14 @@
 //!
 //! The `epoll` FFI below is the service crate's second audited `unsafe`
 //! exception (the first is the `signal(2)` registration in
-//! [`crate::signal`]); everything above [`sys`] is safe code. On
-//! non-Linux platforms [`supported`] is `false` and the server falls
-//! back to the threaded accept loop.
+//! [`crate::signal`]); everything above `sys` is safe code. Off Linux
+//! there is no reactor: [`Reactor::new`] fails with
+//! [`io::ErrorKind::Unsupported`], so serve and route refuse to start.
 
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::endpoint::{EndpointListener, EndpointStream};
@@ -103,11 +110,6 @@ pub trait Service: Send + Sync + 'static {
     fn disconnected(&self) {}
 }
 
-/// Whether this build has a reactor (Linux only).
-pub fn supported() -> bool {
-    cfg!(target_os = "linux")
-}
-
 /// Live reactor gauges, shared with the health endpoint.
 #[derive(Debug, Default)]
 pub struct ReactorGauges {
@@ -119,36 +121,32 @@ pub struct ReactorGauges {
     pub busy: AtomicU64,
 }
 
-/// Runs the reactor until drain completes. Blocks the calling thread;
-/// the server spawns it on a dedicated `staub-reactor` thread.
-///
-/// # Errors
-///
-/// Propagates `epoll` setup failures and fatal poll errors; per-
-/// connection I/O errors just close that connection.
 #[cfg(target_os = "linux")]
-pub fn run<S: Service>(
-    service: &Arc<S>,
-    listeners: Vec<EndpointListener>,
-    gauges: &Arc<ReactorGauges>,
-    config: &ReactorConfig,
-) -> io::Result<()> {
-    linux::run(service, listeners, gauges, config)
-}
+pub use linux::Reactor;
 
-/// Non-Linux stub: the server checks [`supported`] first, so this is
-/// unreachable in practice, but it keeps the symbol total.
+/// Off Linux there is no epoll: [`Reactor::new`] fails with
+/// [`io::ErrorKind::Unsupported`], so no `Reactor` value can exist.
 #[cfg(not(target_os = "linux"))]
-pub fn run<S: Service>(
-    _service: &Arc<S>,
-    _listeners: Vec<EndpointListener>,
-    _gauges: &Arc<ReactorGauges>,
-    _config: &ReactorConfig,
-) -> io::Result<()> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "the epoll reactor requires Linux; use the threaded accept loop",
-    ))
+pub struct Reactor(std::convert::Infallible);
+
+#[cfg(not(target_os = "linux"))]
+#[allow(missing_docs)]
+impl Reactor {
+    pub fn new() -> io::Result<Reactor> {
+        let msg = "serve and route require Linux";
+        Err(io::Error::new(io::ErrorKind::Unsupported, msg))
+    }
+
+    pub fn start<S: Service>(
+        self,
+        _name: &str,
+        _service: &Arc<S>,
+        _listeners: Vec<EndpointListener>,
+        _gauges: &Arc<ReactorGauges>,
+        _config: &ReactorConfig,
+    ) -> io::Result<JoinHandle<io::Result<()>>> {
+        match self.0 {}
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -406,9 +404,9 @@ mod linux {
         }
     }
 
-    struct Reactor<'a, S: Service> {
-        service: &'a Arc<S>,
-        gauges: &'a Arc<ReactorGauges>,
+    struct EventLoop<S: Service> {
+        service: Arc<S>,
+        gauges: Arc<ReactorGauges>,
         ep: Epoll,
         slab: Slab<S::Conn>,
         jobs: mpsc::Sender<Job<S::Conn>>,
@@ -420,13 +418,53 @@ mod linux {
         lingering: usize,
     }
 
-    pub fn run<S: Service>(
+    /// An epoll instance, created before the caller binds its listeners
+    /// and consumed by [`Reactor::start`].
+    pub struct Reactor {
+        ep: Epoll,
+    }
+
+    impl Reactor {
+        /// Creates the epoll instance.
+        ///
+        /// # Errors
+        ///
+        /// Propagates `epoll_create1` failures (e.g. `EMFILE`).
+        pub fn new() -> io::Result<Reactor> {
+            Ok(Reactor { ep: Epoll::new()? })
+        }
+
+        /// Registers `listeners` and the worker waker, spawns the worker
+        /// pool, then runs the event loop on a new thread called `name`
+        /// until drain completes. Everything but the event loop happens on
+        /// the calling thread, so a setup failure is this call's error,
+        /// never a silently dead server.
+        ///
+        /// # Errors
+        ///
+        /// Propagates registration, socketpair and thread-spawn failures.
+        /// The returned thread yields fatal `epoll_wait` errors; per-
+        /// connection I/O errors just close that connection.
+        pub fn start<S: Service>(
+            self,
+            name: &str,
+            service: &Arc<S>,
+            listeners: Vec<EndpointListener>,
+            gauges: &Arc<ReactorGauges>,
+            config: &ReactorConfig,
+        ) -> io::Result<JoinHandle<io::Result<()>>> {
+            start(self.ep, name, service, listeners, gauges, config)
+        }
+    }
+
+    fn start<S: Service>(
+        ep: Epoll,
+        name: &str,
         service: &Arc<S>,
         listeners: Vec<EndpointListener>,
         gauges: &Arc<ReactorGauges>,
         config: &ReactorConfig,
-    ) -> io::Result<()> {
-        let ep = Epoll::new()?;
+    ) -> io::Result<JoinHandle<io::Result<()>>> {
         for (i, l) in listeners.iter().enumerate() {
             ep.add(l.as_raw_fd(), EPOLLIN, TOKEN_LISTENER_BASE + i as u64)?;
         }
@@ -438,6 +476,8 @@ mod linux {
         waker_rx.set_nonblocking(true)?;
         ep.add(waker_rx.as_raw_fd(), EPOLLIN, TOKEN_WAKER)?;
 
+        // On any early return below, dropping `jobs_tx` ends the
+        // workers already spawned.
         let (jobs_tx, jobs_rx) = mpsc::channel::<Job<S::Conn>>();
         let (done_tx, done_rx) = mpsc::channel::<Done<S::Conn>>();
         let jobs_rx = Arc::new(Mutex::new(jobs_rx));
@@ -483,9 +523,9 @@ mod linux {
             );
         }
 
-        let mut reactor = Reactor {
-            service,
-            gauges,
+        let reactor = EventLoop {
+            service: Arc::clone(service),
+            gauges: Arc::clone(gauges),
             ep,
             slab: Slab::new(),
             jobs: jobs_tx,
@@ -494,7 +534,18 @@ mod linux {
             max_line_bytes: config.max_line_bytes,
             lingering: 0,
         };
+        let poll_interval = config.poll_interval;
+        std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || event_loop(reactor, &listeners, worker_handles, poll_interval))
+    }
 
+    fn event_loop<S: Service>(
+        mut reactor: EventLoop<S>,
+        listeners: &[EndpointListener],
+        worker_handles: Vec<JoinHandle<()>>,
+        poll_interval: Duration,
+    ) -> io::Result<()> {
         let mut events = vec![super::sys::EpollEvent { events: 0, data: 0 }; 256];
         let mut accepting = true;
         loop {
@@ -502,7 +553,7 @@ mod linux {
             if draining && accepting {
                 // Stop accepting; close idle connections now. Busy ones
                 // finish their in-flight request and flush first.
-                for l in &listeners {
+                for l in listeners {
                     let _ = reactor.ep.delete(l.as_raw_fd());
                 }
                 accepting = false;
@@ -523,7 +574,7 @@ mod linux {
                 break;
             }
 
-            let n = reactor.ep.wait(&mut events, config.poll_interval)?;
+            let n = reactor.ep.wait(&mut events, poll_interval)?;
             for ev in &events[..n] {
                 let token = ev.data;
                 let bits = ev.events;
@@ -583,7 +634,7 @@ mod linux {
         Ok(())
     }
 
-    impl<'a, S: Service> Reactor<'a, S> {
+    impl<S: Service> EventLoop<S> {
         fn accept_all(&mut self, listener: &EndpointListener) {
             loop {
                 match listener.try_accept() {
@@ -853,30 +904,42 @@ mod tests {
         }
     }
 
+    fn echo_service() -> Arc<Echo> {
+        Arc::new(Echo {
+            stop: AtomicBool::new(false),
+        })
+    }
+
+    fn echo_config(max_line: usize) -> ReactorConfig {
+        ReactorConfig {
+            workers: 2,
+            max_line_bytes: max_line,
+            poll_interval: Duration::from_millis(10),
+        }
+    }
+
     fn start_echo(
         max_line: usize,
     ) -> (
         Arc<Echo>,
         Arc<ReactorGauges>,
         std::net::SocketAddr,
-        std::thread::JoinHandle<io::Result<()>>,
+        JoinHandle<io::Result<()>>,
     ) {
-        let service = Arc::new(Echo {
-            stop: AtomicBool::new(false),
-        });
+        let service = echo_service();
         let gauges = Arc::new(ReactorGauges::default());
         let listener = Endpoint::tcp("127.0.0.1:0").unwrap().bind().unwrap();
         let addr = listener.tcp_addr().unwrap();
-        let config = ReactorConfig {
-            workers: 2,
-            max_line_bytes: max_line,
-            poll_interval: Duration::from_millis(10),
-        };
-        let handle = {
-            let service = Arc::clone(&service);
-            let gauges = Arc::clone(&gauges);
-            std::thread::spawn(move || run(&service, vec![listener], &gauges, &config))
-        };
+        let handle = Reactor::new()
+            .unwrap()
+            .start(
+                "echo-reactor",
+                &service,
+                vec![listener],
+                &gauges,
+                &echo_config(max_line),
+            )
+            .unwrap();
         (service, gauges, addr, handle)
     }
 
@@ -964,5 +1027,32 @@ mod tests {
         service.stop.store(true, Ordering::Relaxed);
         handle.join().unwrap().unwrap();
         assert_eq!(gauges.open_connections.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn setup_failure_is_the_callers_error() {
+        // epoll refuses to watch a regular file (EPERM), so a "listener"
+        // wrapping one fails registration — the same path an exhausted
+        // descriptor table takes — and `start` must say so itself rather
+        // than hand back a thread that has already died.
+        let path = std::env::temp_dir().join(format!("staub-reactor-{}", std::process::id()));
+        let file = std::fs::File::create(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let bogus = EndpointListener::Tcp(std::net::TcpListener::from(std::os::fd::OwnedFd::from(
+            file,
+        )));
+        let gauges = Arc::new(ReactorGauges::default());
+        let err = Reactor::new()
+            .unwrap()
+            .start(
+                "bad",
+                &echo_service(),
+                vec![bogus],
+                &gauges,
+                &echo_config(64),
+            )
+            .expect_err("registering a regular file must fail");
+        assert_eq!(err.raw_os_error(), Some(1), "expected EPERM, got {err}");
+        assert_eq!(gauges.workers.load(Ordering::Relaxed), 0, "no pool started");
     }
 }

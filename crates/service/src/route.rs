@@ -36,8 +36,16 @@
 //! next *distinct* backend on the ring (deterministic order, so repeats
 //! during an outage still co-locate). When every backend is down the
 //! client gets a structured `no-backend` error rather than a hang.
+//!
+//! # Connections
+//!
+//! Client connections are served by the same epoll [`crate::reactor`] as
+//! `staub serve`, with the same framing replies (`oversized`, and
+//! `bad-json` for a non-UTF-8 line) and lingering close. The reactor
+//! needs Linux; elsewhere [`Router::launch`] fails with
+//! [`io::ErrorKind::Unsupported`] before binding.
 
-use std::io::{self, Write};
+use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,10 +55,10 @@ use std::time::{Duration, Instant};
 use staub_smtlib::{canonicalize, Script};
 
 use crate::client::Connection;
-use crate::endpoint::{Endpoint, EndpointListener};
+use crate::endpoint::Endpoint;
 use crate::json;
-use crate::protocol::{self, codes, LineRead, LineReader, ProtocolError, Request, SolveRequest};
-use crate::reactor::{self, ReactorConfig, ReactorGauges};
+use crate::protocol::{self, codes, ProtocolError, Request, SolveRequest};
+use crate::reactor::{self, Reactor, ReactorConfig, ReactorGauges};
 use crate::signal;
 
 /// How a router listens, shards, and retries.
@@ -198,16 +206,18 @@ pub struct Router {
     inner: Arc<RouterInner>,
     addr: SocketAddr,
     gauges: Arc<ReactorGauges>,
-    handles: Vec<JoinHandle<()>>,
+    reactor: JoinHandle<io::Result<()>>,
 }
 
 impl Router {
-    /// Binds the listener and starts serving (reactor where available,
-    /// thread-per-connection otherwise).
+    /// Binds the listener and starts the reactor.
     ///
     /// # Errors
     ///
-    /// Fails on an empty backend list or a bind failure.
+    /// Fails on an empty backend list, and with
+    /// [`io::ErrorKind::Unsupported`] off Linux, both before binding.
+    /// Propagates bind failures and reactor setup failures (epoll
+    /// registration, worker spawn).
     pub fn launch(config: RouteConfig) -> io::Result<Router> {
         if config.backends.is_empty() {
             return Err(io::Error::new(
@@ -215,6 +225,7 @@ impl Router {
                 "a router needs at least one --backend",
             ));
         }
+        let reactor = Reactor::new()?;
         let listener = config.listen.bind()?;
         let addr = listener
             .tcp_addr()
@@ -245,43 +256,26 @@ impl Router {
         });
         let gauges = Arc::new(ReactorGauges::default());
 
-        let mut handles = Vec::new();
-        if reactor::supported() {
-            let service = Arc::new(RouterService {
-                inner: Arc::clone(&inner),
-            });
-            let reactor_gauges = Arc::clone(&gauges);
-            let reactor_config = ReactorConfig {
-                workers: inner.config.workers.max(1),
-                max_line_bytes: inner.config.max_line_bytes,
-                poll_interval: Duration::from_millis(50),
-            };
-            handles.push(
-                std::thread::Builder::new()
-                    .name("staub-router".into())
-                    .spawn(move || {
-                        let _ = reactor::run(
-                            &service,
-                            vec![listener],
-                            &reactor_gauges,
-                            &reactor_config,
-                        );
-                    })?,
-            );
-        } else {
-            let inner = Arc::clone(&inner);
-            handles.push(
-                std::thread::Builder::new()
-                    .name("staub-router".into())
-                    .spawn(move || threaded_loop(&inner, &listener))?,
-            );
-        }
-
+        let service = Arc::new(RouterService {
+            inner: Arc::clone(&inner),
+        });
+        let reactor_config = ReactorConfig {
+            workers: inner.config.workers,
+            max_line_bytes: inner.config.max_line_bytes,
+            ..ReactorConfig::default()
+        };
+        let reactor = reactor.start(
+            "staub-router",
+            &service,
+            vec![listener],
+            &gauges,
+            &reactor_config,
+        )?;
         Ok(Router {
             inner,
             addr,
             gauges,
-            handles,
+            reactor,
         })
     }
 
@@ -295,7 +289,7 @@ impl Router {
         &self.inner.node
     }
 
-    /// Open client connections right now (reactor mode).
+    /// Open client connections right now.
     pub fn open_connections(&self) -> u64 {
         self.gauges.open_connections.load(Ordering::Relaxed)
     }
@@ -306,10 +300,8 @@ impl Router {
     }
 
     /// Waits for the drain to complete.
-    pub fn join(mut self) {
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+    pub fn join(self) {
+        let _ = self.reactor.join();
     }
 }
 
@@ -336,75 +328,6 @@ impl reactor::Service for RouterService {
 
     fn shutting_down(&self) -> bool {
         self.inner.shutting_down()
-    }
-}
-
-/// Thread-per-connection fallback for platforms without the reactor.
-fn threaded_loop(inner: &Arc<RouterInner>, listener: &EndpointListener) {
-    let mut handles: Vec<JoinHandle<()>> = Vec::new();
-    while !inner.shutting_down() {
-        match listener.try_accept() {
-            Ok(stream) => {
-                if stream.set_nonblocking(false).is_err()
-                    || stream
-                        .set_read_timeout(Some(Duration::from_millis(50)))
-                        .is_err()
-                {
-                    continue;
-                }
-                let inner = Arc::clone(inner);
-                if let Ok(h) = std::thread::Builder::new()
-                    .name("staub-route-conn".into())
-                    .spawn(move || {
-                        let mut stream = stream;
-                        let mut reader = LineReader::new(inner.config.max_line_bytes);
-                        loop {
-                            match reader.next_line(&mut stream) {
-                                Ok(LineRead::Line(line)) => {
-                                    if line.trim().is_empty() {
-                                        continue;
-                                    }
-                                    let (reply, keep) = handle_line(&inner, &line);
-                                    let write = stream
-                                        .write_all(reply.as_bytes())
-                                        .and_then(|()| stream.write_all(b"\n"))
-                                        .and_then(|()| stream.flush());
-                                    if write.is_err() || !keep {
-                                        return;
-                                    }
-                                }
-                                Ok(LineRead::Idle) => {
-                                    if inner.shutting_down() {
-                                        return;
-                                    }
-                                }
-                                Ok(LineRead::TooLong { observed }) => {
-                                    let reply = protocol::oversized_reply(
-                                        1,
-                                        inner.config.max_line_bytes,
-                                        observed,
-                                    );
-                                    let _ = stream.write_all(reply.as_bytes());
-                                    let _ = stream.write_all(b"\n");
-                                    return;
-                                }
-                                Ok(LineRead::BadUtf8) | Ok(LineRead::Eof) | Err(_) => return,
-                            }
-                        }
-                    })
-                {
-                    handles.push(h);
-                }
-                handles.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-    for h in handles {
-        let _ = h.join();
     }
 }
 
@@ -662,6 +585,43 @@ mod tests {
         assert!(keep);
         assert!(reply.contains("bad-request"), "{reply}");
         assert!(reply.contains("backend directly"), "{reply}");
+    }
+
+    #[test]
+    fn framing_errors_get_a_structured_reply_before_close() {
+        use std::io::{BufRead, BufReader, Write};
+        // The backend is never dialed: both lines fail framing first.
+        let router = Router::launch(RouteConfig {
+            backends: endpoints(1),
+            max_line_bytes: 64,
+            ..RouteConfig::default()
+        })
+        .expect("router");
+        let cases: [(&[u8], &str); 2] = [
+            (&[b'x'; 200], codes::OVERSIZED),
+            (&[b'{', 0xff, 0xfe, b'}'], codes::BAD_JSON),
+        ];
+        for (line, code) in cases {
+            let mut stream = std::net::TcpStream::connect(router.local_addr()).expect("dial");
+            stream.write_all(line).unwrap();
+            stream.write_all(b"\n").unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("error reply");
+            let parsed = json::parse(reply.trim_end()).expect("reply is json");
+            assert_eq!(
+                parsed
+                    .get("error")
+                    .and_then(|e| e.get("code"))
+                    .and_then(json::Json::as_str),
+                Some(code),
+                "{reply}"
+            );
+            let mut rest = String::new();
+            assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "expected close");
+        }
+        router.shutdown();
+        router.join();
     }
 
     #[test]

@@ -4,24 +4,24 @@
 //! The server speaks the newline-delimited JSON protocol of
 //! [`crate::protocol`] over any [`Endpoint`] (TCP and, on Unix, a Unix
 //! domain socket). Connections are served by the nonblocking epoll
-//! [`crate::reactor`] on Linux — idle connections cost a slab entry, not
-//! a thread, and requests execute on a fixed worker pool — or by the
-//! legacy thread-per-connection loop elsewhere (and on request, via
-//! [`ServerConfig::threaded`]). Each `solve` passes through an
-//! [`AdmissionGate`] bounding concurrent scheduler work, then through
-//! the [`AnswerStore`] (the in-memory LRU, or the crash-persistent
-//! snapshot+log store when [`ServerConfig::persist`] is set), and only
-//! on a miss spawns lanes via
-//! [`run_one_with`](staub_core::run_one_with).
+//! [`crate::reactor`] — idle connections cost a slab entry, not a
+//! thread, and requests execute on a fixed worker pool. The reactor needs
+//! Linux; elsewhere [`Server::launch`] fails with
+//! [`io::ErrorKind::Unsupported`] before binding. Each `solve` passes
+//! through an `AdmissionGate` bounding concurrent scheduler work, then
+//! through the [`AnswerStore`] (the in-memory LRU, or the
+//! crash-persistent snapshot+log store when [`ServerConfig::persist`] is
+//! set), and only on a miss spawns lanes via [`run_one_with`].
 //!
 //! # Drain
 //!
-//! Accept paths are nonblocking and poll the shutdown flag
-//! ([`crate::signal`]), because glibc's `SA_RESTART` would otherwise
-//! keep a blocking `accept` alive across SIGINT. On shutdown the server
-//! stops accepting, lets in-flight requests finish and flush, closes
-//! idle connections, joins every service thread, and only then lets
-//! [`Server::join`] return — no request is abandoned mid-solve.
+//! The reactor polls the shutdown flag ([`crate::signal`]) on every
+//! bounded `epoll_wait` tick, because glibc's `SA_RESTART` would
+//! otherwise keep a blocking wait alive across SIGINT. On shutdown the
+//! server stops accepting, lets in-flight requests finish and flush,
+//! closes idle connections, joins the reactor and its workers, and only
+//! then lets [`Server::join`] return — no request is abandoned
+//! mid-solve.
 //!
 //! # Cached-answer soundness
 //!
@@ -38,7 +38,7 @@
 //! verdict for a canonically identical constraint is sound by
 //! construction.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -51,12 +51,10 @@ use staub_core::{
 use staub_smtlib::{canonicalize, evaluate, Canonical, Model, Script, Value};
 
 use crate::cache::{AnswerCache, AnswerStore, CacheConfig, CachedVerdict};
-use crate::endpoint::{Endpoint, EndpointListener, EndpointStream};
+use crate::endpoint::Endpoint;
 use crate::persist::{PersistConfig, PersistentStore};
-use crate::protocol::{
-    self, codes, LineRead, LineReader, ProtocolError, Request, SolveReply, SolveRequest,
-};
-use crate::reactor::{self, ReactorConfig, ReactorGauges};
+use crate::protocol::{self, codes, ProtocolError, Request, SolveReply, SolveRequest};
+use crate::reactor::{self, Reactor, ReactorConfig, ReactorGauges};
 use crate::signal;
 
 /// How a server instance listens, solves, caches, and persists.
@@ -85,12 +83,6 @@ pub struct ServerConfig {
     pub max_waiting: usize,
     /// Request-line size cap in bytes (satellite of the parser depth cap).
     pub max_line_bytes: usize,
-    /// Per-read socket timeout in threaded mode: the idle-poll
-    /// granularity for drain. The reactor uses it as its poll interval.
-    pub read_timeout: Duration,
-    /// Force the legacy thread-per-connection loop even where the epoll
-    /// reactor is available.
-    pub threaded: bool,
     /// Reactor worker threads (the fixed pool that executes requests).
     pub workers: usize,
     /// This node's name in protocol-v3 `route` hop lists. Defaults to
@@ -109,8 +101,6 @@ impl Default for ServerConfig {
             max_inflight: 4,
             max_waiting: 64,
             max_line_bytes: protocol::DEFAULT_MAX_LINE_BYTES,
-            read_timeout: Duration::from_millis(50),
-            threaded: false,
             workers: 4,
             node_name: None,
         }
@@ -119,7 +109,7 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// The default configuration: ephemeral loopback TCP, in-memory
-    /// cache, epoll reactor where available.
+    /// cache.
     pub fn new() -> ServerConfig {
         ServerConfig::default()
     }
@@ -174,13 +164,6 @@ impl ServerConfig {
         self
     }
 
-    /// Forces the legacy thread-per-connection mode.
-    #[must_use]
-    pub fn threaded(mut self, threaded: bool) -> ServerConfig {
-        self.threaded = threaded;
-        self
-    }
-
     /// Sets the reactor worker-pool size.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> ServerConfig {
@@ -196,13 +179,16 @@ impl ServerConfig {
     }
 }
 
-/// Bounded-queue admission control for `solve` requests.
+/// Admission control for `solve` requests and session checks.
 ///
 /// `acquire` admits up to `max_inflight` concurrent holders; up to
 /// `max_waiting` more block on a condvar (woken in no particular order —
 /// fairness is not needed, boundedness is). Anything beyond that is
-/// refused immediately so the client gets an `overloaded` reply instead
-/// of unbounded queueing.
+/// refused immediately with an `overloaded` reply. Only reactor workers
+/// call it, so at most [`ServerConfig::workers`] requests contend at
+/// once: with no more workers than `max_inflight` (the defaults, 4 and
+/// 4) the gate never waits or refuses. Requests beyond the pool queue in
+/// the reactor's job channel instead, at most one per open connection.
 struct AdmissionGate {
     state: Mutex<(usize, usize)>, // (active, waiting)
     cv: Condvar,
@@ -274,14 +260,13 @@ impl AdmissionGate {
     }
 }
 
-/// State shared by the accept paths and every request executor.
+/// State shared by the reactor service and every request executor.
 struct Inner {
     config: ServerConfig,
     store: Option<Arc<dyn AnswerStore>>,
     metrics: Arc<Metrics>,
     gate: AdmissionGate,
     gauges: Arc<ReactorGauges>,
-    reactor_enabled: bool,
     node: String,
     started: Instant,
     local_shutdown: AtomicBool,
@@ -335,17 +320,20 @@ impl reactor::Service for ServeService {
 pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    accept_handles: Vec<JoinHandle<()>>,
+    reactor: JoinHandle<io::Result<()>>,
 }
 
 impl Server {
     /// Binds the listeners, warm-starts the answer store, and starts the
-    /// service threads (the reactor, or the legacy accept loops).
+    /// reactor.
     ///
     /// # Errors
     ///
-    /// Propagates bind failures and persistent-store I/O failures.
+    /// Fails with [`io::ErrorKind::Unsupported`] off Linux, before
+    /// binding. Propagates bind failures, persistent-store I/O failures,
+    /// and reactor setup failures (epoll registration, worker spawn).
     pub fn launch(config: ServerConfig) -> io::Result<Server> {
+        let reactor = Reactor::new()?;
         let tcp_listener = config.tcp.bind()?;
         let addr = tcp_listener
             .tcp_addr()
@@ -362,17 +350,20 @@ impl Server {
             (Some(cache), Some(persist)) => Some(Arc::new(PersistentStore::open(cache, persist)?)),
         };
 
-        let reactor_enabled = reactor::supported() && !config.threaded;
         let node = config
             .node_name
             .clone()
             .unwrap_or_else(|| format!("serve:{addr}"));
+        let reactor_config = ReactorConfig {
+            workers: config.workers,
+            max_line_bytes: config.max_line_bytes,
+            ..ReactorConfig::default()
+        };
         let inner = Arc::new(Inner {
             gate: AdmissionGate::new(config.max_inflight, config.max_waiting),
             store,
             metrics: Arc::new(Metrics::new()),
             gauges: Arc::new(ReactorGauges::default()),
-            reactor_enabled,
             node,
             started: Instant::now(),
             local_shutdown: AtomicBool::new(false),
@@ -381,39 +372,20 @@ impl Server {
             config,
         });
 
-        let mut accept_handles = Vec::new();
-        if reactor_enabled {
-            let service = Arc::new(ServeService {
-                inner: Arc::clone(&inner),
-            });
-            let gauges = Arc::clone(&inner.gauges);
-            let reactor_config = ReactorConfig {
-                workers: inner.config.workers.max(1),
-                max_line_bytes: inner.config.max_line_bytes,
-                poll_interval: inner.config.read_timeout,
-            };
-            accept_handles.push(
-                std::thread::Builder::new()
-                    .name("staub-reactor".into())
-                    .spawn(move || {
-                        let _ = reactor::run(&service, listeners, &gauges, &reactor_config);
-                    })?,
-            );
-        } else {
-            for listener in listeners {
-                let inner = Arc::clone(&inner);
-                accept_handles.push(
-                    std::thread::Builder::new()
-                        .name("staub-accept".into())
-                        .spawn(move || accept_loop(&inner, &listener))?,
-                );
-            }
-        }
-
+        let service = Arc::new(ServeService {
+            inner: Arc::clone(&inner),
+        });
+        let reactor = reactor.start(
+            "staub-reactor",
+            &service,
+            listeners,
+            &inner.gauges,
+            &reactor_config,
+        )?;
         Ok(Server {
             inner,
             addr,
-            accept_handles,
+            reactor,
         })
     }
 
@@ -427,12 +399,10 @@ impl Server {
         self.inner.local_shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Waits for the drain to complete: service threads exited, every
-    /// connection closed.
-    pub fn join(mut self) -> DrainSummary {
-        for h in self.accept_handles.drain(..) {
-            let _ = h.join();
-        }
+    /// Waits for the drain to complete: the reactor and its workers
+    /// exited, every connection closed.
+    pub fn join(self) -> DrainSummary {
+        let _ = self.reactor.join();
         DrainSummary {
             connections: self.inner.connections.load(Ordering::Relaxed),
             requests: self.inner.requests.load(Ordering::Relaxed),
@@ -456,98 +426,6 @@ pub struct DrainSummary {
     pub requests: u64,
     /// Total time the server was up.
     pub uptime: Duration,
-}
-
-// ---------------------------------------------------------------------------
-// Legacy thread-per-connection mode
-// ---------------------------------------------------------------------------
-
-/// Poll cadence of the nonblocking accept loops.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-
-fn accept_loop(inner: &Arc<Inner>, listener: &EndpointListener) {
-    let mut conn_handles: Vec<JoinHandle<()>> = Vec::new();
-    while !inner.shutting_down() {
-        match listener.try_accept() {
-            Ok(stream) => {
-                // Accepted streams are served blocking with a read
-                // timeout (the drain poll tick).
-                if stream.set_nonblocking(false).is_err()
-                    || stream
-                        .set_read_timeout(Some(inner.config.read_timeout))
-                        .is_err()
-                {
-                    continue; // peer already gone
-                }
-                inner.connections.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.incr("serve.connections", 1);
-                inner
-                    .gauges
-                    .open_connections
-                    .fetch_add(1, Ordering::Relaxed);
-                let inner = Arc::clone(inner);
-                if let Ok(handle) =
-                    std::thread::Builder::new()
-                        .name("staub-conn".into())
-                        .spawn(move || {
-                            connection_loop(&inner, stream);
-                            inner
-                                .gauges
-                                .open_connections
-                                .fetch_sub(1, Ordering::Relaxed);
-                        })
-                {
-                    conn_handles.push(handle);
-                }
-                // Opportunistically reap finished connection threads so a
-                // long-lived server does not accumulate join handles.
-                conn_handles.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-    for handle in conn_handles {
-        let _ = handle.join();
-    }
-}
-
-fn write_line(stream: &mut impl Write, line: &str) -> io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
-}
-
-/// Half-close then drain before dropping a connection that was just sent
-/// a final reply. Closing while unread request bytes sit in the receive
-/// buffer (an oversized line's tail, a pipelined request) makes the
-/// kernel send RST, destroying the buffered reply before the peer reads
-/// it. Sending FIN and discarding input until the peer hangs up — bounded
-/// by a short deadline — lets the reply land. Mirrors the reactor's
-/// lingering-close state.
-fn linger_close(stream: &mut EndpointStream) {
-    const LINGER: Duration = Duration::from_secs(2);
-    if stream.shutdown_write().is_err() {
-        return;
-    }
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let deadline = Instant::now() + LINGER;
-    let mut sink = [0u8; 4096];
-    while Instant::now() < deadline {
-        match stream.read(&mut sink) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return,
-        }
-    }
 }
 
 /// Open sessions of one connection. Session state is
@@ -575,53 +453,6 @@ impl SessionTable {
         let before = self.open.len();
         self.open.retain(|(n, _)| n != name);
         self.open.len() < before
-    }
-}
-
-fn connection_loop(inner: &Arc<Inner>, mut stream: EndpointStream) {
-    let mut reader = LineReader::new(inner.config.max_line_bytes);
-    let mut sessions = SessionTable::default();
-    loop {
-        match reader.next_line(&mut stream) {
-            Ok(LineRead::Line(line)) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                inner.requests.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.incr("serve.requests", 1);
-                let (reply, keep_open) = handle_line(inner, &mut sessions, &line);
-                if write_line(&mut stream, &reply).is_err() {
-                    return;
-                }
-                if !keep_open {
-                    linger_close(&mut stream);
-                    return;
-                }
-            }
-            Ok(LineRead::Idle) => {
-                if inner.shutting_down() {
-                    return; // drain: drop idle keep-alive connections
-                }
-            }
-            Ok(LineRead::TooLong { observed }) => {
-                inner.metrics.incr("serve.errors", 1);
-                let reply = protocol::oversized_reply(1, inner.config.max_line_bytes, observed);
-                if write_line(&mut stream, &reply).is_ok() {
-                    linger_close(&mut stream);
-                }
-                return;
-            }
-            Ok(LineRead::BadUtf8) => {
-                inner.metrics.incr("serve.errors", 1);
-                let reply =
-                    protocol::error_reply(1, None, codes::BAD_JSON, "request line is not UTF-8");
-                if write_line(&mut stream, &reply).is_ok() {
-                    linger_close(&mut stream);
-                }
-                return;
-            }
-            Ok(LineRead::Eof) | Err(_) => return,
-        }
     }
 }
 
@@ -1160,8 +991,7 @@ fn health_reply(inner: &Arc<Inner>, v: u32, id: Option<&str>) -> String {
         inner.shutting_down(),
     ));
     out.push_str(&format!(
-        ",\"reactor\":{{\"enabled\":{},\"workers\":{},\"open_connections\":{},\"busy\":{}}}",
-        inner.reactor_enabled,
+        ",\"reactor\":{{\"enabled\":true,\"workers\":{},\"open_connections\":{},\"busy\":{}}}",
         inner.gauges.workers.load(Ordering::Relaxed),
         inner.gauges.open_connections.load(Ordering::Relaxed),
         inner.gauges.busy.load(Ordering::Relaxed),
@@ -1357,7 +1187,7 @@ mod tests {
         let reactor = parsed.get("reactor").expect("reactor block");
         assert_eq!(
             reactor.get("enabled").and_then(crate::json::Json::as_bool),
-            Some(cfg!(target_os = "linux"))
+            Some(true)
         );
         let persist = parsed.get("persist").expect("persist block");
         assert_eq!(

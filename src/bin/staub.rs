@@ -131,7 +131,7 @@ const USAGE: &str = "usage: staub [--emit] [--reduce] [--width N] \
        staub stats [--width N] [--profile zed|cove] [--timeout-ms N] <file.smt2>
        staub batch [--threads N] [--timeout-ms N] [--steps N] [--width N] \
 [--profile zed|cove|both] [--escalate M,M,...] [--refine] [--refine-depth N] \
-[--no-baseline] [--no-cancel] [--retry] [--no-stats] [--out FILE] \
+[--no-baseline] [--no-cancel] [--no-stats] [--out FILE] \
 <dir|file.smt2>...
        staub serve [--addr ENDPOINT] [--unix PATH] [--persist DIR] \
 [SERVE OPTIONS]
@@ -258,7 +258,6 @@ BATCH OPTIONS:
                       (default 5; implies --refine)
   --no-baseline       skip the baseline lane (bounded lanes only)
   --no-cancel         let losing lanes run to completion (full timings)
-  --retry             one bounded retry for lanes that exhaust their steps
   --no-stats          skip the metrics registry (per-record stats remain)
   --out <FILE>        write the JSONL to FILE instead of stdout
                       (with stats on, the aggregate metrics snapshot goes
@@ -326,7 +325,6 @@ fn batch_main(args: Vec<String>) -> ExitCode {
             }
             "--no-baseline" => config.include_baseline = false,
             "--no-cancel" => config.cancel_losers = false,
-            "--retry" => config.retry = true,
             "--no-stats" => with_stats = false,
             "--out" => {
                 let Some(path) = iter.next() else {
@@ -494,10 +492,10 @@ JSON ({\"op\":\"solve\",\"constraint\":\"...\"}); see DESIGN.md for the full
 protocol grammar. A canonical-constraint answer cache in front of the
 scheduler answers repeated (including alpha-renamed and commutatively
 reordered) constraints without spawning lanes; with --persist the cache
-survives restarts. On Linux connections are served by a nonblocking
-epoll reactor with a fixed worker pool, so idle connections cost no
-threads. SIGINT drains gracefully: in-flight requests finish, then the
-process exits.
+survives restarts. Connections are served by a nonblocking epoll reactor
+with a fixed worker pool, so idle connections cost no threads; serve
+therefore requires Linux. SIGINT drains gracefully: in-flight requests
+finish, then the process exits.
 
 SERVE OPTIONS:
   --addr <ENDPOINT>     bind endpoint: HOST:PORT, tcp:HOST:PORT
@@ -511,8 +509,6 @@ SERVE OPTIONS:
   --fsync               fsync the log after every append (durability over
                         throughput; default is flush-only)
   --workers <N>         reactor worker threads (default 4)
-  --threaded            force thread-per-connection even where the epoll
-                        reactor is available
   --node-name <NAME>    this node's name in v3 route hop lists
                         (default serve:<bound-address>)
   --threads <N>         scheduler worker threads per request (default: cores)
@@ -590,7 +586,6 @@ fn serve_main(args: Vec<String>) -> ExitCode {
                     .fsync = true;
             }
             "--workers" => config.workers = value_of!("--workers", usize),
-            "--threaded" => config.threaded = true,
             "--node-name" => match iter.next() {
                 Some(name) => config.node_name = Some(name),
                 None => {
@@ -906,7 +901,8 @@ every repeat of a constraint (under any variable names) lands on the same
 backend and its warm answer cache. Failed backends are retried after a
 cooldown; requests fail over to the next backend on the ring. Session ops
 are refused (sessions are connection-stateful; open them against a
-backend directly).
+backend directly). Like serve, route runs on the epoll reactor and
+requires Linux.
 
 ROUTE OPTIONS:
   --listen <ENDPOINT>   bind endpoint (default 127.0.0.1:7337; port 0

@@ -31,7 +31,6 @@ fn complete_only_config() -> BatchConfig {
         escalations: Vec::new(),
         include_baseline: false,
         cancel_losers: false,
-        retry: false,
         // These tests pin *complete-lane* (certified-width) behaviour;
         // some generated families are difference-logic-shaped and would
         // otherwise be decided by the DL lane instead.

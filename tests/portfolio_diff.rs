@@ -31,7 +31,7 @@ fn sequential_tool() -> Staub {
 
 /// A scheduler configuration whose lane fan-out is exactly the pair of
 /// legs `measure` runs — baseline plus STAUB at the inferred width, no
-/// escalations, no cancellation, no retry — so the two paths are
+/// escalations, no cancellation — so the two paths are
 /// step-for-step comparable.
 fn mirror_config() -> BatchConfig {
     BatchConfig {
@@ -40,7 +40,6 @@ fn mirror_config() -> BatchConfig {
         steps: STEPS,
         escalations: Vec::new(),
         cancel_losers: false,
-        retry: false,
         ..BatchConfig::default()
     }
 }

@@ -37,7 +37,6 @@ fn race_config() -> BatchConfig {
         steps: HARD_STEPS,
         escalations: Vec::new(),
         cancel_losers: true,
-        retry: false,
         ..BatchConfig::default()
     }
 }

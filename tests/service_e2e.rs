@@ -30,7 +30,6 @@ fn batch_config() -> BatchConfig {
         steps: STEPS,
         escalations: Vec::new(),
         cancel_losers: false,
-        retry: false,
         ..BatchConfig::default()
     }
 }
@@ -340,6 +339,88 @@ fn malformed_and_oversized_lines_get_error_and_close() {
         "{reply}"
     );
     assert_closed(conn);
+
+    server.shutdown();
+    server.join();
+}
+
+/// The `inflight` gauge of a health reply.
+fn inflight(health: &Json) -> u64 {
+    health
+        .get("inflight")
+        .and_then(Json::as_u64)
+        .expect("health reply carries inflight")
+}
+
+#[test]
+fn admission_refuses_past_the_inflight_budget_and_recovers() {
+    // One admission slot, no waiting room, but four reactor workers: a
+    // second solve reaches the gate while the first holds the slot and
+    // must be refused, not queued.
+    let mut config = serve_config(false).workers(4).admission(1, 0);
+    config.batch.steps = 1 << 40;
+    config.batch.timeout = Duration::from_secs(3);
+    let server = Server::launch(config).expect("server starts");
+    let endpoint = Endpoint::Tcp(server.local_addr().to_string());
+
+    // x³ + y³ + z³ ≡ 4 (mod 9) has no integer solution, but no lane can
+    // prove it: the solve runs until its 3 s deadline, holding the slot.
+    let slow = "(declare-fun x () Int)(declare-fun y () Int)(declare-fun z () Int)\
+                (assert (= (+ (* x x x) (* y y y) (* z z z)) 4))(check-sat)";
+    let holder = {
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || {
+            let mut a = Connection::connect(&endpoint).expect("connect A");
+            a.roundtrip(&solve_request("slow", slow, None, None, false))
+                .expect("slow solve replies")
+        })
+    };
+
+    let mut c = Connection::connect(&endpoint).expect("connect C");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let health = json::parse(&c.roundtrip(&health_request()).expect("health")).expect("json");
+        if inflight(&health) == 1 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "slow solve never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let quick = "(declare-fun q () Int)(assert (> q 2))(check-sat)";
+    let v3 =
+        |id: &str| solve_request(id, quick, None, None, false).replacen("\"v\":1", "\"v\":3", 1);
+    let mut b = Connection::connect(&endpoint).expect("connect B");
+    let refused =
+        json::parse(&b.roundtrip(&v3("refused")).expect("overloaded reply")).expect("json");
+    assert_eq!(refused.get("v").and_then(Json::as_u64), Some(3));
+    assert_eq!(
+        refused.get("status").and_then(Json::as_str),
+        Some("overloaded")
+    );
+    let error = refused.get("error").expect("structured error object");
+    assert_eq!(error.get("code").and_then(Json::as_str), Some("overloaded"));
+    assert_eq!(error.get("inflight").and_then(Json::as_u64), Some(1));
+    assert_eq!(error.get("waiting").and_then(Json::as_u64), Some(0));
+
+    // Health is never gated: it answers while the slot is held.
+    let health = json::parse(&c.roundtrip(&health_request()).expect("health")).expect("json");
+    assert_eq!(inflight(&health), 1, "the slow solve still holds the slot");
+
+    // The slot frees once the slow solve replies; B's connection survived
+    // its refusal and is admitted now.
+    let slow_reply = holder.join().expect("holder thread");
+    assert!(
+        slow_reply.contains("\"verdict\":\"unknown\""),
+        "{slow_reply}"
+    );
+    let admitted = b.roundtrip(&v3("admitted")).expect("solve after release");
+    let audit = audit_reply(quick, &admitted);
+    assert_eq!(audit.verdict, "sat", "{admitted}");
+    assert!(audit.well_formed && audit.sound);
 
     server.shutdown();
     server.join();
